@@ -1556,24 +1556,39 @@ let accuracy_cmd =
     (Cmd.info "accuracy" ~doc:"Figure 13 accuracy point for one configuration")
     Term.(const run $ bits $ sigma $ samples)
 
+(* The one handler for compile-time rejections: whichever subcommand
+   compiled the model, a program the analysis gate refuses is a user-facing
+   error (exit 1) with its diagnostics, not an internal one. *)
 let () =
   let doc = "PUMA memristor-accelerator toolchain" in
   let info = Cmd.info "puma" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        models_cmd;
+        compile_cmd;
+        analyze_cmd;
+        graph_cmd;
+        exec_cmd;
+        run_cmd;
+        batch_cmd;
+        serve_cmd;
+        faults_cmd;
+        profile_cmd;
+        estimate_cmd;
+        table3_cmd;
+        accuracy_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            models_cmd;
-            compile_cmd;
-            analyze_cmd;
-            graph_cmd;
-            exec_cmd;
-            run_cmd;
-            batch_cmd;
-            serve_cmd;
-            faults_cmd;
-            profile_cmd;
-            estimate_cmd;
-            table3_cmd;
-            accuracy_cmd;
-          ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Puma_compiler.Compile.Analysis_failed report ->
+        Format.eprintf "error: generated program fails static analysis:@.%a@?"
+          Puma_analysis.Analyze.pp report;
+        1
+    | e ->
+        (* Anything else stays an internal error, reported as [Cmd.eval]
+           does when it catches. *)
+        Printf.eprintf "puma: internal error, uncaught exception:\n%s\n%!"
+          (Printexc.to_string e);
+        Cmd.Exit.internal_error)

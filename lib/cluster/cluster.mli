@@ -6,12 +6,16 @@
     cross-node costs come from a {!Puma_noc.Fabric} — the same
     {!Puma_noc.Offchip} constants the analytical estimator uses.
 
-    The run loop reproduces the monolithic reference loop's pass
-    structure over the striped tile space, so a cluster with a zero-cost
-    fabric is bit-identical (outputs, cycles, energy event counts) to
-    {!Puma_sim.Node.run} on the unsplit program — the contract
-    [test/test_cluster.ml] pins for the whole model zoo. Clusters always
-    execute reference-style; the single-node fast path does not apply.
+    {!run} is {!Puma_sim.Node.run_machine} — the single-node run loop —
+    over the shards and the fabric-aware network, so a cluster with a
+    zero-cost fabric is bit-identical (outputs, cycles, energy event
+    counts) to {!Puma_sim.Node.run} on the unsplit program — the contract
+    [test/test_cluster.ml] pins for the whole model zoo. Each shard takes
+    the fast path unless something observes it (a probe, a retire hook, a
+    fault plan, energy attribution); see {!Puma_sim.Node.set_fast}.
+
+    A one-node cluster is a plain {!Puma_sim.Node}: the shard keeps its
+    own network, so its ledger holds everything, NoC included.
 
     See [docs/SCALEOUT.md]. *)
 
@@ -33,17 +37,17 @@ val create :
   Puma_isa.Program.t ->
   t
 (** Split the program across [nodes] (default 2) chips connected by the
-    given fabric topology (default [Mesh2d]). Each node programs its
-    crossbars from its own noise stream ([noise_seed + k]) and its own
-    entry of [node_faults] (length must equal [nodes]), modelling
-    independent physical chips. *)
+    given fabric topology (default [Mesh2d]; unused by a single chip).
+    Each node programs its crossbars from its own noise stream
+    ([noise_seed + k]) and its own entry of [node_faults] (length must
+    equal [nodes]), modelling independent physical chips. *)
 
 val run :
   t -> inputs:(string * float array) list -> (string * float array) list
 (** One inference across the cluster: inject inputs into the owning
     shards, run the global event loop to completion, assemble outputs
-    from all shards. Raises {!Puma_sim.Node.Deadlock} or [Failure] (cycle
-    cap) like the single-node simulator. *)
+    from all shards. Raises {!Puma_sim.Node.Deadlock} (naming global tile
+    indices) or [Failure] (cycle cap) like the single-node simulator. *)
 
 val config : t -> Puma_hwmodel.Config.t
 val nodes : t -> int
@@ -57,16 +61,17 @@ val cycles : t -> int
 (** Global cycles elapsed in completed {!run} calls. *)
 
 val shard : t -> int -> Puma_sim.Node.t
-val shard_program : t -> int -> Puma_isa.Program.t
 
 val interconnect_energy : t -> Puma_hwmodel.Energy.t
 (** The ledger the shared network charges (NoC hops and off-chip link
-    words); per-node compute energy lives in each shard's ledger. *)
+    words); per-node compute energy lives in each shard's ledger. For a
+    single chip this is the node's own ledger. *)
 
 val energy_counts : t -> (Puma_hwmodel.Energy.category * int) list
 (** Per-category event counts summed over every shard ledger and the
-    interconnect ledger — integers, so they compare exactly against a
-    monolithic run regardless of how the ledgers were split. *)
+    interconnect ledger (each counted once) — integers, so they compare
+    exactly against a monolithic run regardless of how the ledgers were
+    split. *)
 
 val offchip_words : t -> int
 (** Words that crossed chip-to-chip links (fabric hop-multiplied). *)

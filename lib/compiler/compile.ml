@@ -42,6 +42,18 @@ type result = {
   tiles_per_node : int;
 }
 
+exception Analysis_failed of Puma_analysis.Analyze.report
+
+let () =
+  Printexc.register_printer (function
+    | Analysis_failed r ->
+        Some
+          (Format.asprintf
+             "Compile.Analysis_failed: generated program fails static \
+              analysis:@.%a"
+             Puma_analysis.Analyze.pp r)
+    | _ -> None)
+
 let compile ?(options = default_options) (config : Puma_hwmodel.Config.t) g =
   (match Puma_graph.Graph.validate g with
   | Ok () -> ()
@@ -194,10 +206,7 @@ let compile ?(options = default_options) (config : Puma_hwmodel.Config.t) g =
     | None -> analysis
   in
   if options.analysis_gate && Puma_analysis.Analyze.has_errors analysis then
-    failwith
-      (Format.asprintf
-         "Compile.compile: generated program fails static analysis:@.%a"
-         Puma_analysis.Analyze.pp analysis);
+    raise (Analysis_failed analysis);
   {
     program;
     analysis;

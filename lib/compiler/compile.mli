@@ -14,8 +14,8 @@ type options = {
   optimize_graph : bool;
       (** Run {!Optimize} (CSE + DCE) before tiling (default on). *)
   analysis_gate : bool;
-      (** Fail compilation when the post-codegen static analysis reports
-          errors (default on). Turning it off still runs the analysis and
+      (** Fail compilation ({!Analysis_failed}) when the post-codegen
+          static analysis reports errors (default on). Turning it off still runs the analysis and
           records the report in {!result.analysis}. *)
   repair_ordering : bool;
       (** Run the {!Sequencing} repair pass on channels the
@@ -78,8 +78,14 @@ type result = {
   tiles_per_node : int;  (** Global tile stride between nodes. *)
 }
 
+exception Analysis_failed of Puma_analysis.Analyze.report
+(** Raised by {!compile} when [analysis_gate] is on and the generated
+    program's static analysis (merged with the translation-validation
+    diagnostics) reports errors; carries the full report. *)
+
 val compile :
   ?options:options -> Puma_hwmodel.Config.t -> Puma_graph.Graph.t -> result
+(** Raises {!Analysis_failed} when the analysis gate rejects the program. *)
 
 val usage : result -> Puma_isa.Usage.t
 (** Static instruction mix of the compiled program (Figure 4). *)

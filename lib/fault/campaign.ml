@@ -280,30 +280,14 @@ type cluster_report = {
   c_points : cluster_point array;
 }
 
-(* Replay the request batch on one freshly built (and warmed) cluster,
-   serially, exactly like Batch.run's cluster backend with one worker —
-   so faulted responses line up with a Batch.run golden bit for bit. *)
-let cluster_batch ~nodes ~topology ?node_faults program requests =
-  let cluster = Cluster.create ~nodes ~topology ?node_faults program in
-  let zeros =
-    List.map
-      (fun (name, len) -> (name, Array.make len 0.0))
-      (Batch.input_lengths program)
+(* Replay the request batch serially on one freshly built (and warmed)
+   machine, exactly like Batch.run with one worker — so faulted responses
+   line up with a Batch.run golden bit for bit. *)
+let replay ~nodes ~topology ~node_faults program requests =
+  let machine =
+    Batch.warmed_machine ~nodes ~topology ~node_faults program
   in
-  ignore (Cluster.run cluster ~inputs:zeros);
-  Array.of_list
-    (List.map
-       (fun (r : Batch.request) ->
-         let c0 = Cluster.cycles cluster in
-         let outputs = Cluster.run cluster ~inputs:r.Batch.inputs in
-         {
-           Batch.index = r.Batch.index;
-           outputs;
-           cycles = Cluster.cycles cluster - c0;
-           dynamic_energy_pj = 0.0;
-           stalls = [];
-         })
-       requests)
+  Array.of_list (List.map (Batch.infer machine) requests)
 
 let run_cluster ?domains ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
     program spec =
@@ -347,8 +331,9 @@ let run_cluster ?domains ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
             shards
         in
         let plans = Array.map (fun r -> Some r.Remap.plan) remaps in
-        let faulty = cluster_batch ~nodes ~topology ~node_faults:plans
-            program requests in
+        let faulty =
+          replay ~nodes ~topology ~node_faults:plans program requests
+        in
         let c_max_err_ulps, c_mean_err_ulps, c_flip_rate =
           compare_batches ~golden faulty
         in
@@ -360,8 +345,7 @@ let run_cluster ?domains ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
               in
               let _, _, flip =
                 compare_batches ~golden
-                  (cluster_batch ~nodes ~topology ~node_faults:only program
-                     requests)
+                  (replay ~nodes ~topology ~node_faults:only program requests)
               in
               flip)
         in

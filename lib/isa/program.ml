@@ -29,6 +29,13 @@ type t = {
 
 let num_tiles t = Array.length t.tiles
 
+let tile_busy tp =
+  Array.exists (fun code -> Array.length code > 0) tp.core_code
+  || Array.length tp.tile_code > 0
+
+let tiles_used t =
+  Array.fold_left (fun acc tp -> if tile_busy tp then acc + 1 else acc) 0 t.tiles
+
 let num_cores t =
   Array.fold_left
     (fun acc tile ->

@@ -40,6 +40,14 @@ type t = {
 }
 
 val num_tiles : t -> int
+
+val tile_busy : tile_program -> bool
+(** The tile has at least one instruction (core or tile stream). *)
+
+val tiles_used : t -> int
+(** Tiles with a nonempty instruction stream — the occupied-tile count
+    that static (leakage/clock) energy is billed for. *)
+
 val num_cores : t -> int
 (** Total cores with a nonempty instruction stream. *)
 

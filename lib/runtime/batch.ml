@@ -73,40 +73,37 @@ let random_requests program ~batch ~seed =
       in
       { index; inputs })
 
-let tiles_used (program : Program.t) =
-  Array.fold_left
-    (fun acc (tp : Program.tile_program) ->
-      let busy =
-        Array.exists (fun code -> Array.length code > 0) tp.core_code
-        || Array.length tp.tile_code > 0
-      in
-      if busy then acc + 1 else acc)
-    0 program.tiles
+let tiles_used = Program.tiles_used
 
-(* One warmed node: the first inference on a fresh node is a few cycles
-   cheaper (cold pipelines and attribute memories); running a throwaway
-   all-zero inference first puts every node in the same steady state, so a
-   request's cycle count does not depend on whether it happened to be the
-   first one its worker served. *)
+(* A warmed machine: the first inference on a fresh machine is a few
+   cycles cheaper (cold pipelines and attribute memories); running a
+   throwaway all-zero inference first puts every machine in the same
+   steady state, so a request's cycle count does not depend on whether it
+   happened to be the first one its worker served. *)
+let warmed_machine ?noise_seed ?topology ?node_faults ?fast ~nodes program =
+  let machine =
+    Cluster.create ~nodes ?topology ?noise_seed ?node_faults program
+  in
+  Option.iter
+    (fun fast ->
+      for k = 0 to nodes - 1 do
+        Node.set_fast (Cluster.shard machine k) fast
+      done)
+    fast;
+  let zeros =
+    List.map (fun (name, len) -> (name, Array.make len 0.0))
+      (input_lengths program)
+  in
+  ignore (Cluster.run machine ~inputs:zeros);
+  machine
+
+let single_plan = Option.map (fun plan -> [| Some plan |])
+
 let warmed_node ?noise_seed ?faults ?fast program =
-  let node = Node.create ?noise_seed ?faults ?fast program in
-  let zeros =
-    List.map (fun (name, len) -> (name, Array.make len 0.0))
-      (input_lengths program)
-  in
-  ignore (Node.run node ~inputs:zeros);
-  node
-
-(* The cluster counterpart: split across [nodes] chips on the given
-   fabric topology, warmed by the same throwaway all-zero inference. *)
-let warmed_cluster ?noise_seed ?topology ~nodes program =
-  let cluster = Cluster.create ~nodes ?topology ?noise_seed program in
-  let zeros =
-    List.map (fun (name, len) -> (name, Array.make len 0.0))
-      (input_lengths program)
-  in
-  ignore (Cluster.run cluster ~inputs:zeros);
-  cluster
+  Cluster.shard
+    (warmed_machine ?noise_seed ?node_faults:(single_plan faults) ?fast
+       ~nodes:1 program)
+    0
 
 (* Deterministic greedy (least-loaded) schedule of the per-request costs
    over [domains] simulated nodes, in request order. *)
@@ -123,19 +120,15 @@ let greedy_makespan ~domains costs =
   Array.fold_left max 0 loads
 
 (* Per-request dynamic energy from event-count deltas: every charge
-   during [Node.run] goes through [Energy.add] with an integer event
-   count, so (count_after - count_before) * per_event_pj summed in fixed
-   category order is exact and independent of how much energy the worker
-   node had already accumulated. Subtracting cumulative [total_pj]
-   snapshots instead rounds differently at different magnitudes, making a
-   request's reported energy depend on which pool worker served it and in
-   what order. *)
-let energy_counts node =
-  Array.of_list
-    (List.map (Energy.count (Node.energy node)) Energy.all_categories)
-
-let cluster_energy_counts cluster =
-  Array.of_list (List.map snd (Cluster.energy_counts cluster))
+   during a run goes through [Energy.add] with an integer event count, so
+   (count_after - count_before) * per_event_pj summed in fixed category
+   order is exact and independent of how much energy the worker machine
+   had already accumulated. Subtracting cumulative [total_pj] snapshots
+   instead rounds differently at different magnitudes, making a request's
+   reported energy depend on which pool worker served it and in what
+   order. *)
+let energy_counts machine =
+  Array.of_list (List.map snd (Cluster.energy_counts machine))
 
 let energy_delta_pj config ~before ~after =
   List.fold_left
@@ -144,6 +137,20 @@ let energy_delta_pj config ~before ~after =
       (i + 1, acc +. (Float.of_int events *. Energy.per_event_pj config cat)))
     (0, 0.0) Energy.all_categories
   |> snd
+
+let infer machine (r : request) =
+  let c0 = Cluster.cycles machine in
+  let e0 = energy_counts machine in
+  let outputs = Cluster.run machine ~inputs:r.inputs in
+  {
+    index = r.index;
+    outputs;
+    cycles = Cluster.cycles machine - c0;
+    dynamic_energy_pj =
+      energy_delta_pj (Cluster.config machine) ~before:e0
+        ~after:(energy_counts machine);
+    stalls = [];
+  }
 
 (* Stall-cycle deltas between two profiler snapshots, nonzero only. *)
 let stall_delta (before : Profile.totals) (after : Profile.totals) =
@@ -175,82 +182,43 @@ let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?fast
     | Some d -> invalid_arg (Printf.sprintf "Batch.run: %d domains" d)
     | None -> Pool.default_domains ()
   in
-  let cluster_nodes =
-    match cluster_nodes with
-    | Some c when c < 1 ->
-        invalid_arg (Printf.sprintf "Batch.run: %d cluster nodes" c)
-    | Some c when c > 1 -> Some c
-    | Some _ | None -> None
-  in
-  (match cluster_nodes with
-  | Some _ when profile ->
-      invalid_arg "Batch.run: profiling is single-node only"
-  | Some _ when Option.is_some faults ->
-      invalid_arg
-        "Batch.run: per-node fault plans go through Campaign.run_cluster"
-  | Some _ | None -> ());
+  let nodes = Option.value cluster_nodes ~default:1 in
+  if nodes < 1 then
+    invalid_arg (Printf.sprintf "Batch.run: %d cluster nodes" nodes);
+  if nodes > 1 && profile then
+    invalid_arg "Batch.run: profiling is single-node only";
+  if nodes > 1 && Option.is_some faults then
+    invalid_arg
+      "Batch.run: per-node fault plans go through Campaign.run_cluster";
   let requests = Array.of_list requests in
   let n = Array.length requests in
   let responses =
     Pool.map_init ~domains ~n
       ~init:(fun ~worker:_ ->
-        match cluster_nodes with
-        | Some nodes ->
-            `Cluster (warmed_cluster ?noise_seed ?topology ~nodes program)
-        | None ->
-            (* Attach the profiler only after warm-up, so the profile
-               (like every other metric) covers exactly the served
-               requests. *)
-            let node = warmed_node ?noise_seed ?faults ?fast program in
-            let prof =
-              if profile then begin
-                let p = Profile.create () in
-                Profile.attach p node;
-                Some p
-              end
-              else None
-            in
-            `Node (node, prof))
-      (fun backend i ->
-        let r = requests.(i) in
-        match backend with
-        | `Cluster cluster ->
-            let c0 = Cluster.cycles cluster in
-            let e0 = cluster_energy_counts cluster in
-            let outputs = Cluster.run cluster ~inputs:r.inputs in
-            ( {
-                index = r.index;
-                outputs;
-                cycles = Cluster.cycles cluster - c0;
-                dynamic_energy_pj =
-                  energy_delta_pj program.config ~before:e0
-                    ~after:(cluster_energy_counts cluster);
-                stalls = [];
-              },
-              0 )
-        | `Node (node, prof) ->
-            let c0 = Node.cycles node in
-            let e0 = energy_counts node in
-            let t0 = Option.map Profile.totals prof in
-            let outputs = Node.run node ~inputs:r.inputs in
-            let stalls, busy =
-              match (prof, t0) with
-              | Some p, Some before ->
-                  let after = Profile.totals p in
-                  ( stall_delta before after,
-                    after.Profile.busy_cycles - before.Profile.busy_cycles )
-              | _ -> ([], 0)
-            in
-            ( {
-                index = r.index;
-                outputs;
-                cycles = Node.cycles node - c0;
-                dynamic_energy_pj =
-                  energy_delta_pj program.config ~before:e0
-                    ~after:(energy_counts node);
-                stalls;
-              },
-              busy ))
+        let machine =
+          warmed_machine ?noise_seed ?topology
+            ?node_faults:(single_plan faults) ?fast ~nodes program
+        in
+        (* Attach the profiler only after warm-up, so the profile (like
+           every other metric) covers exactly the served requests. *)
+        let prof =
+          if profile then begin
+            let p = Profile.create () in
+            Profile.attach p (Cluster.shard machine 0);
+            Some p
+          end
+          else None
+        in
+        (machine, prof))
+      (fun (machine, prof) i ->
+        let t0 = Option.map Profile.totals prof in
+        let response = infer machine requests.(i) in
+        match (prof, t0) with
+        | Some p, Some before ->
+            let after = Profile.totals p in
+            ( { response with stalls = stall_delta before after },
+              after.Profile.busy_cycles - before.Profile.busy_cycles )
+        | _ -> (response, 0))
   in
   let busy_cycles = Array.fold_left (fun acc (_, b) -> acc + b) 0 responses in
   let responses = Array.map fst responses in

@@ -1,17 +1,18 @@
 (** Parallel batched-inference runtime.
 
     Shards a batch of independent inference requests across per-domain
-    {!Puma_sim.Node} instances (the PUMA paper's throughput scenario,
-    Section 7.3: weights stay on the crossbars, only inputs move). The
+    machines — {!Puma_cluster.Cluster}s, a single node being a one-node
+    cluster (the PUMA paper's throughput scenario, Section 7.3: weights
+    stay on the crossbars, only inputs move). The
     host-side simulation parallelism comes from {!Puma_util.Pool};
     simulated-time metrics model [domains] PUMA nodes serving the batch.
 
     {b Determinism guarantee.} Serial and parallel runs are bit-identical
     regardless of worker count:
-    - every worker's node is built from the same program with the same
-      [noise_seed], so all crossbar images match;
-    - each node performs one warm-up inference on all-zero inputs before
-      serving requests (a node's first run costs a few cold-start cycles
+    - every worker's machine is built from the same program with the
+      same [noise_seed], so all crossbar images match;
+    - each machine performs one warm-up inference on all-zero inputs
+      before serving requests (a first run costs a few cold-start cycles
       less; warming makes every request see identical steady state), and
       the warm-up is excluded from all metrics;
     - a request's outputs, cycle count and dynamic energy are functions of
@@ -78,31 +79,40 @@ val random_requests :
 (** [batch] requests with uniform random inputs in [-0.8, 0.8] drawn from
     {!request_seed}-derived generators (the CLI / bench workload). *)
 
+val warmed_machine :
+  ?noise_seed:int ->
+  ?topology:Puma_noc.Fabric.topology ->
+  ?node_faults:Puma_xbar.Fault.plan option array ->
+  ?fast:bool ->
+  nodes:int ->
+  Puma_isa.Program.t ->
+  Puma_cluster.Cluster.t
+(** A fresh machine of [nodes] chips ({!Puma_cluster.Cluster.create};
+    one chip is a plain node) that has already served one throwaway
+    all-zero inference, so every subsequent request sees identical steady
+    state (the warmed-machine pattern behind the determinism guarantee;
+    also used by the serving runtime's fleet and the fault campaigns).
+    [fast] is applied to every chip (default as {!Puma_sim.Node.create}).
+    The warm-up's cycles and energy stay on the machine's counters —
+    {!infer} measures per-request deltas. *)
+
 val warmed_node :
   ?noise_seed:int ->
   ?faults:Puma_xbar.Fault.plan ->
   ?fast:bool ->
   Puma_isa.Program.t ->
   Puma_sim.Node.t
-(** A fresh node that has already served one throwaway all-zero inference,
-    so every subsequent request sees identical steady state (the warmed-
-    node pattern behind the determinism guarantee; also used by the
-    serving runtime's fleet). The warm-up's cycles and energy stay on the
-    node's counters — callers measure per-request deltas. *)
+(** The single node of a one-chip {!warmed_machine}. *)
+
+val infer : Puma_cluster.Cluster.t -> request -> response
+(** Serve one request on a machine: its outputs, the cycles it took and
+    its dynamic energy from integer event-count deltas (exact, and
+    independent of what the machine served before); [stalls = []]. *)
 
 val tiles_used : Puma_isa.Program.t -> int
 (** Tiles with a nonempty instruction stream — the occupied-tile count
-    that static (leakage/clock) energy is billed for. *)
-
-val warmed_cluster :
-  ?noise_seed:int ->
-  ?topology:Puma_noc.Fabric.topology ->
-  nodes:int ->
-  Puma_isa.Program.t ->
-  Puma_cluster.Cluster.t
-(** {!warmed_node}'s multi-node counterpart: the program split across
-    [nodes] chips on the given fabric topology, warmed by the same
-    throwaway all-zero inference. *)
+    that static (leakage/clock) energy is billed for
+    ({!Puma_isa.Program.tiles_used}). *)
 
 val run :
   ?domains:int ->
@@ -117,14 +127,15 @@ val run :
   response array * summary
 (** Execute the batch.
 
-    [cluster_nodes > 1] serves every request on a {!Puma_cluster.Cluster}
-    of that many chips (fabric [topology], default mesh) instead of a
-    single node — [domains] then replicates whole clusters, so the two
-    axes compose: host-parallel workers, each simulating one multi-chip
-    machine. Per-request cycles and dynamic energy come from the
-    cluster's global clock and summed ledgers. [profile] and [faults] are
-    single-node only (per-node fault plans go through
-    [Campaign.run_cluster]) and raise [Invalid_argument] with a cluster.
+    Every worker serves its requests with {!infer} on its own
+    {!warmed_machine} of [cluster_nodes] chips (default 1; fabric
+    [topology], default mesh) — [domains] replicates whole machines, so
+    the two axes compose: host-parallel workers, each simulating one
+    multi-chip machine. Per-request cycles and dynamic energy come from
+    the machine's global clock and summed ledgers. [profile] and [faults]
+    are single-node only (per-node fault plans go through
+    [Campaign.run_cluster]) and raise [Invalid_argument] with more than
+    one chip.
 
     [domains] defaults to
     {!Puma_util.Pool.default_domains}; [noise_seed], [faults] and [fast]

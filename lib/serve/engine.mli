@@ -171,18 +171,18 @@ val run :
   model array ->
   workload ->
   report
-(** Phase 1 + phase 2: simulate every arrival's request on per-worker
-    warmed nodes ([domains] shards the host work, default
+(** Phase 1 + phase 2: simulate every arrival's request with
+    {!Puma_runtime.Batch.infer} on per-worker
+    {!Puma_runtime.Batch.warmed_machine}s, one per resident model
+    ([domains] shards the host work, default
     {!Puma_util.Pool.default_domains}; the report is bit-identical for
     any value), then {!schedule}. [fast] selects the simulator fast path
     (bit-identical either way).
 
-    [cluster_nodes > 1] serves every request on a
-    {!Puma_cluster.Cluster} of that many chips (fabric [topology],
-    default mesh): [config.nodes] remains the {e fleet} size the
-    dispatcher schedules over, while [cluster_nodes] is the size of each
-    machine in that fleet. Per-arrival cycles and energy then come from
-    the cluster's global clock and summed ledgers. *)
+    [cluster_nodes] (default 1) is the number of chips in each machine
+    (fabric [topology], default mesh): [config.nodes] remains the
+    {e fleet} size the dispatcher schedules over. Per-arrival cycles and
+    energy come from the machine's global clock and summed ledgers. *)
 
 val latency_ms : report -> served -> float
 (** Queue wait + service, virtual milliseconds. *)

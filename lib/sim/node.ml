@@ -40,6 +40,7 @@ type t = {
   mutable probe : probe option;
 }
 
+(* Runaway-program guard: a single run may not span more cycles. *)
 let cycle_cap = 200_000_000
 
 let create ?(noise_seed = 42) ?faults ?(fast = true) (program : Program.t) =
@@ -113,14 +114,8 @@ let retired_instructions t =
       acc + !per_core)
     0 t.tiles
 
-let tile_busy (tp : Program.tile_program) =
-  Array.exists (fun code -> Array.length code > 0) tp.core_code
-  || Array.length tp.tile_code > 0
-
-let tiles_used t =
-  Array.fold_left
-    (fun acc tp -> if tile_busy tp then acc + 1 else acc)
-    0 t.program.tiles
+let tiles_used t = Program.tiles_used t.program
+let network t = t.network
 
 let inject_inputs t inputs =
   List.iter
@@ -139,7 +134,9 @@ let inject_inputs t inputs =
           Tile.host_write t.tiles.(b.tile) ~addr:b.mem_addr ~values:raw)
     t.program.inputs
 
-let read_outputs t =
+(* Outputs are global bindings: shard [k] holds global tiles
+   [k * stride, k * stride + num_tiles). *)
+let read_outputs shards ~stride outputs =
   (* Group fragments by output name. *)
   let by_name = Hashtbl.create 8 in
   List.iter
@@ -153,7 +150,7 @@ let read_outputs t =
             l
       in
       frags := b :: !frags)
-    t.program.outputs;
+    outputs;
   Hashtbl.fold
     (fun name frags acc ->
       let total =
@@ -162,7 +159,9 @@ let read_outputs t =
       let out = Array.make total 0.0 in
       List.iter
         (fun (b : Program.io_binding) ->
-          match Tile.host_read t.tiles.(b.tile) ~addr:b.mem_addr ~width:b.length with
+          let k = b.tile / stride in
+          let tile = shards.(k).tiles.(b.tile - (k * stride)) in
+          match Tile.host_read tile ~addr:b.mem_addr ~width:b.length with
           | None ->
               raise
                 (Deadlock
@@ -170,366 +169,74 @@ let read_outputs t =
                       name b.tile))
           | Some raw ->
               Array.iteri
-                (fun k v -> out.(b.offset + k) <- Fixed.to_float (Fixed.of_raw v))
+                (fun i v -> out.(b.offset + i) <- Fixed.to_float (Fixed.of_raw v))
                 raw)
         !frags;
       (name, out) :: acc)
     by_name []
 
-(* Advance [t.now] to the next event time, or raise [Deadlock] with the
-   full entity dump. Shared verbatim by both execution loops: the [now]
-   sequence and the diagnostic text are part of the bit-identity
-   contract. *)
-let advance_or_deadlock t =
+let all_halted t = Array.for_all Tile.all_halted t.tiles
+
+(* The next event time after [now], or [Deadlock] with the full entity
+   dump (global tile indices). The [now] sequence and the diagnostic text
+   are part of the bit-identity contract. *)
+let advance_or_deadlock shards ~network ~stride ~now =
   let next = ref max_int in
-  let consider time = if time > t.now && time < !next then next := time in
-  Array.iteri
-    (fun ti tile ->
-      consider t.tcu_ready.(ti);
-      ignore tile;
-      Array.iter consider t.core_ready.(ti))
-    t.tiles;
-  (match Network.next_arrival t.network with
-  | Some a -> consider a
-  | None -> ());
+  let consider time = if time > now && time < !next then next := time in
+  Array.iter
+    (fun t ->
+      Array.iter consider t.tcu_ready;
+      Array.iter (Array.iter consider) t.core_ready)
+    shards;
+  Option.iter consider (Network.next_arrival network);
   if !next = max_int then begin
     let buf = Buffer.create 256 in
     Buffer.add_string buf
       (Printf.sprintf
          "all live entities blocked at cycle %d (in flight %d, next arrival %s)\n"
-         t.now
-         (Network.in_flight t.network)
-         (match Network.next_arrival t.network with
+         now
+         (Network.in_flight network)
+         (match Network.next_arrival network with
           | Some a -> string_of_int a
           | None -> "none"));
     Array.iteri
-      (fun ti tile ->
-        for c = 0 to Tile.num_cores tile - 1 do
-          let core = Tile.core tile c in
-          if not (Core.halted core) then
-            Buffer.add_string buf
-              (Printf.sprintf "  tile %d core %d blocked at pc %d\n" ti c (Core.pc core))
-        done;
-        if not (Tile.all_halted tile) then
-          begin
-            let rb = Tile.recv_buffer tile in
-            let occ =
-              String.concat ","
-                (List.init (Puma_tile.Recv_buffer.num_fifos rb) (fun f ->
-                     string_of_int (Puma_tile.Recv_buffer.occupancy rb ~fifo:f)))
-            in
-            Buffer.add_string buf
-              (Printf.sprintf "  tile %d tcu pc %d, fifo occupancy [%s]\n" ti
-                 (Tile.tcu_pc tile) occ)
-          end)
-      t.tiles;
+      (fun k t ->
+        Array.iteri
+          (fun ti tile ->
+            let global = (k * stride) + ti in
+            for c = 0 to Tile.num_cores tile - 1 do
+              let core = Tile.core tile c in
+              if not (Core.halted core) then
+                Buffer.add_string buf
+                  (Printf.sprintf "  tile %d core %d blocked at pc %d\n" global
+                     c (Core.pc core))
+            done;
+            if not (Tile.all_halted tile) then begin
+              let rb = Tile.recv_buffer tile in
+              let occ =
+                String.concat ","
+                  (List.init (Puma_tile.Recv_buffer.num_fifos rb) (fun f ->
+                       string_of_int (Puma_tile.Recv_buffer.occupancy rb ~fifo:f)))
+              in
+              Buffer.add_string buf
+                (Printf.sprintf "  tile %d tcu pc %d, fifo occupancy [%s]\n"
+                   global (Tile.tcu_pc tile) occ)
+            end)
+          t.tiles)
+      shards;
     raise (Deadlock (Buffer.contents buf))
   end
-  else t.now <- !next
+  else !next
 
-(* The cycle-accurate reference loop: full probe/hook dispatch and
-   per-tile energy scoping, stepping through [Core.step]. *)
-let run_reference t ~start =
-  let ntiles = Array.length t.tiles in
-  let finished = ref false in
-  while not !finished do
-    if t.now - start > cycle_cap then failwith "Node.run: cycle cap exceeded";
-    let progress = ref false in
-    (* Drain tile outgoing queues into the network. NoC (and off-chip)
-       energy is attributed to the sending tile. *)
-    Array.iter
-      (fun tile ->
-        Energy.set_scope t.energy (Tile.index tile);
-        let rec drain () =
-          match Tile.pop_outgoing tile with
-          | None -> ()
-          | Some (o : Tile.outgoing) ->
-              Network.send t.network ~now:o.issue_cycle
-                {
-                  Network.src_tile = Tile.index tile;
-                  dst_tile = o.target_tile;
-                  fifo_id = o.fifo_id;
-                  payload = o.payload;
-                  seq = 0 (* assigned by Network.send *);
-                };
-              progress := true;
-              drain ()
-        in
-        drain ())
-      t.tiles;
-    (* Deliver every arrived message; a full destination FIFO pushes the
-       message back with a one-cycle retry so it stays visible to the
-       time-advance logic. FIFO push energy lands on the destination. *)
-    let rec deliver () =
-      match Network.pop_arrived t.network ~now:t.now with
-      | None -> ()
-      | Some msg ->
-          Energy.set_scope t.energy msg.Network.dst_tile;
-          if
-            Tile.deliver t.tiles.(msg.Network.dst_tile) ~fifo:msg.fifo_id
-              ~src_tile:msg.src_tile ~payload:msg.payload
-          then begin
-            Network.confirm_delivered t.network msg;
-            progress := true;
-            match t.probe with
-            | Some p ->
-                let rb = Tile.recv_buffer t.tiles.(msg.Network.dst_tile) in
-                p.on_deliver ~now:t.now ~tile:msg.dst_tile ~fifo:msg.fifo_id
-                  ~occupancy:(Puma_tile.Recv_buffer.occupancy rb ~fifo:msg.fifo_id)
-            | None -> ()
-          end
-          else Network.requeue t.network ~now:t.now msg;
-          deliver ()
-    in
-    deliver ();
-    (* Step ready entities (energy scoped to the stepping tile). *)
-    for ti = 0 to ntiles - 1 do
-      let tile = t.tiles.(ti) in
-      Energy.set_scope t.energy ti;
-      if t.tcu_ready.(ti) <= t.now then begin
-        match Tile.step_tcu tile ~now:t.now with
-        | Tile.Retired { cycles; instr } ->
-            t.tcu_ready.(ti) <- t.now + cycles;
-            progress := true;
-            (match t.probe with
-            | Some p -> p.on_retire ~now:t.now ~tile:ti ~core:(-1) ~cycles instr
-            | None -> ())
-        | Tile.Blocked reason -> (
-            match t.probe with
-            | Some p -> p.on_stall ~now:t.now ~tile:ti ~core:(-1) reason
-            | None -> ())
-        | Tile.Halted -> (
-            match t.probe with
-            | Some p -> p.on_halt ~now:t.now ~tile:ti ~core:(-1)
-            | None -> ())
-      end;
-      for c = 0 to Tile.num_cores tile - 1 do
-        if t.core_ready.(ti).(c) <= t.now then begin
-          match Tile.step_core tile c with
-          | Core.Retired { cycles; instr } ->
-              (match t.retire_hook with
-              | Some hook -> hook ~cycle:t.now ~tile:ti ~core:c instr
-              | None -> ());
-              (match t.probe with
-              | Some p -> p.on_retire ~now:t.now ~tile:ti ~core:c ~cycles instr
-              | None -> ());
-              t.core_ready.(ti).(c) <- t.now + cycles;
-              progress := true
-          | Core.Blocked reason -> (
-              match t.probe with
-              | Some p -> p.on_stall ~now:t.now ~tile:ti ~core:c reason
-              | None -> ())
-          | Core.Halted -> (
-              match t.probe with
-              | Some p -> p.on_halt ~now:t.now ~tile:ti ~core:c
-              | None -> ())
-        end
-      done
-    done;
-    Energy.set_scope t.energy (-1);
-    (* Completion / time advance / deadlock. *)
-    let all_halted = Array.for_all Tile.all_halted t.tiles in
-    if all_halted && Network.in_flight t.network = 0 then finished := true
-    else if not !progress then advance_or_deadlock t
-  done
-
-(* The fast loop: same pass structure and [now] sequence as
-   [run_reference] — drain, deliver, step (TCU then cores, tiles
-   ascending), completion check, re-pass at the same cycle on progress
-   (a TCU receive can unblock a core's load within the cycle), advance
-   via the shared helper. Only eligible when nothing can observe the
-   differences: no probe, no retire hook, no fault plan, attribution
-   off. The deltas are exactly: no probe/hook dispatch, no
-   [Energy.set_scope] (dead with attribution off), cores step through
-   the pre-decoded [Fastexec] streams, and tiles that have fully halted
-   are skipped in the stepping pass (stepping a halted entity is a
-   no-op without a probe). *)
-let run_fast t ~start =
-  let ntiles = Array.length t.tiles in
-  let fcs = Array.map Tile.fast_code t.tiles in
-  (* Blocked-entity parking. A blocked attempt is effect-free and its
-     outcome is a deterministic function of the tile's shared-memory
-     state (cores: load/store) plus the receive-buffer state (TCU), so a
-     retry against an unchanged [Shared_mem.generation] (+ the per-tile
-     count of successful network deliveries, for the TCU) is guaranteed
-     to block again: skipping it is unobservable. Halted entities are
-     parked permanently ([never]) — a core or TCU cannot un-halt within
-     a run. Parks are per-run locals; [Tile.reset] starts the next run
-     fresh. *)
-  let never = max_int in
-  let core_park =
-    Array.init ntiles (fun ti ->
-        Array.make (Tile.num_cores t.tiles.(ti)) (-1))
-  in
-  let tcu_park = Array.make ntiles (-1) in
-  let delivered = Array.make ntiles 0 in
-  let finished = ref false in
-  while not !finished do
-    if t.now - start > cycle_cap then failwith "Node.run: cycle cap exceeded";
-    let progress = ref false in
-    Array.iter
-      (fun tile ->
-        let rec drain () =
-          match Tile.pop_outgoing tile with
-          | None -> ()
-          | Some (o : Tile.outgoing) ->
-              Network.send t.network ~now:o.issue_cycle
-                {
-                  Network.src_tile = Tile.index tile;
-                  dst_tile = o.target_tile;
-                  fifo_id = o.fifo_id;
-                  payload = o.payload;
-                  seq = 0 (* assigned by Network.send *);
-                };
-              progress := true;
-              drain ()
-        in
-        drain ())
-      t.tiles;
-    let rec deliver () =
-      match Network.pop_arrived t.network ~now:t.now with
-      | None -> ()
-      | Some msg ->
-          if
-            Tile.deliver t.tiles.(msg.Network.dst_tile) ~fifo:msg.fifo_id
-              ~src_tile:msg.src_tile ~payload:msg.payload
-          then begin
-            Network.confirm_delivered t.network msg;
-            delivered.(msg.Network.dst_tile) <-
-              delivered.(msg.Network.dst_tile) + 1;
-            progress := true
-          end
-          else Network.requeue t.network ~now:t.now msg;
-          deliver ()
-    in
-    deliver ();
-    for ti = 0 to ntiles - 1 do
-      let tile = t.tiles.(ti) in
-      if not (Tile.all_halted tile) then begin
-        (if t.tcu_ready.(ti) <= t.now then
-           let park = tcu_park.(ti) in
-           if
-             park <> never
-             && park <> Tile.smem_generation tile + delivered.(ti)
-           then begin
-             match Tile.step_tcu tile ~now:t.now with
-             | Tile.Retired { cycles; _ } ->
-                 t.tcu_ready.(ti) <- t.now + cycles;
-                 progress := true
-             | Tile.Blocked _ ->
-                 tcu_park.(ti) <-
-                   Tile.smem_generation tile + delivered.(ti)
-             | Tile.Halted -> tcu_park.(ti) <- never
-           end);
-        let fc = fcs.(ti) in
-        let parks = core_park.(ti) in
-        for c = 0 to Tile.num_cores tile - 1 do
-          if t.core_ready.(ti).(c) <= t.now then begin
-            let park = parks.(c) in
-            if park <> never && park <> Tile.smem_generation tile then begin
-              let r = Tile.step_core_fast tile fc c in
-              if r >= 0 then begin
-                t.core_ready.(ti).(c) <- t.now + r;
-                progress := true
-              end
-              else if r = Fastexec.r_halted then parks.(c) <- never
-              else parks.(c) <- Tile.smem_generation tile
-            end
-          end
-        done
-      end
-    done;
-    let all_halted = Array.for_all Tile.all_halted t.tiles in
-    if all_halted && Network.in_flight t.network = 0 then finished := true
-    else if not !progress then advance_or_deadlock t
-  done
-
-(* Fast mode engages only when the run is observationally equivalent:
-   any instrumentation, fault plan or attribution forces the reference
-   loop. *)
-let fast_eligible t =
-  t.fast_enabled
-  && Option.is_none t.probe
-  && Option.is_none t.retire_hook
-  && (not t.faulted)
-  && not (Energy.attribution_enabled t.energy)
-
-let run t ~inputs =
-  inject_inputs t inputs;
-  Array.iter Tile.reset t.tiles;
-  let start = t.now in
-  (match t.probe with Some p -> p.on_run_start ~now:start | None -> ());
-  let fast = fast_eligible t in
-  t.last_run_fast <- fast;
-  if fast then run_fast t ~start else run_reference t ~start;
-  t.total_cycles <- t.total_cycles + (t.now - start);
-  (match t.probe with Some p -> p.on_run_end ~now:t.now | None -> ());
-  read_outputs t
-
-let finish_energy t =
-  Energy.add_static t.energy ~tiles:(tiles_used t)
-    ~cycles:(Float.of_int t.total_cycles);
-  (* Under per-tile attribution, spread the (already recorded) static
-     charge over the occupied tiles so the attributed rows account for the
-     whole ledger. *)
-  if Energy.attribution_enabled t.energy then begin
-    let share =
-      Energy.static_tile_pj t.config ~cycles:(Float.of_int t.total_cycles)
-    in
-    Array.iteri
-      (fun ti tp ->
-        if tile_busy tp then Energy.attribute_pj t.energy ~tile:ti Static share)
-      t.program.tiles
-  end
-
-(* --- Cluster shard API ----------------------------------------------
-
-   [Puma_cluster.Cluster] drives several nodes under one global clock and
-   one shared fabric-aware network. These entry points expose the
-   reference loop's passes individually so the cluster run loop can
-   interleave shards in global tile order; each mirrors the corresponding
-   pass of [run_reference] exactly (that mirroring is what makes a
-   zero-cost-fabric cluster bit-identical to one monolithic node). The
-   fast loop has no shard form: its blocked-entity parking is a per-run
-   local of [run_fast], so clusters always execute reference-style. *)
-
-let shard_begin_run t ~inputs =
-  inject_inputs t inputs;
-  Array.iter Tile.reset t.tiles
-
-let shard_drain t ~send =
+(* Reference stepping: every ready entity (TCU then cores, tiles
+   ascending) goes through [Core.step] with full probe/hook dispatch and
+   per-tile energy scoping ([base] is the shard's first global tile).
+   Returns whether anything retired. *)
+let step_reference t ~base ~now =
   let progress = ref false in
-  Array.iter
-    (fun tile ->
-      Energy.set_scope t.energy (Tile.index tile);
-      let rec drain () =
-        match Tile.pop_outgoing tile with
-        | None -> ()
-        | Some (o : Tile.outgoing) ->
-            send ~src:(Tile.index tile) ~dst:o.target_tile ~fifo:o.fifo_id
-              ~payload:o.payload ~issue:o.issue_cycle;
-            progress := true;
-            drain ()
-      in
-      drain ())
-    t.tiles;
-  Energy.set_scope t.energy (-1);
-  !progress
-
-let shard_deliver t ~local_tile ~fifo ~src_tile ~payload =
-  let tile = t.tiles.(local_tile) in
-  Energy.set_scope t.energy (Tile.index tile);
-  let accepted = Tile.deliver tile ~fifo ~src_tile ~payload in
-  Energy.set_scope t.energy (-1);
-  accepted
-
-let shard_step t ~now =
-  t.now <- now;
-  let ntiles = Array.length t.tiles in
-  let progress = ref false in
-  for ti = 0 to ntiles - 1 do
+  for ti = 0 to Array.length t.tiles - 1 do
     let tile = t.tiles.(ti) in
-    Energy.set_scope t.energy (Tile.index tile);
+    Energy.set_scope t.energy (base + ti);
     if t.tcu_ready.(ti) <= now then begin
       match Tile.step_tcu tile ~now with
       | Tile.Retired { cycles; instr } ->
@@ -573,18 +280,216 @@ let shard_step t ~now =
   Energy.set_scope t.energy (-1);
   !progress
 
-let shard_next_event t ~now =
-  let next = ref max_int in
-  let consider time = if time > now && time < !next then next := time in
-  Array.iteri
-    (fun ti _ ->
-      consider t.tcu_ready.(ti);
-      Array.iter consider t.core_ready.(ti))
-    t.tiles;
-  !next
+(* Per-run state of a shard in fast mode. Blocked-entity parking: a
+   blocked attempt is effect-free and its outcome is a deterministic
+   function of the tile's shared-memory state (cores: load/store) plus
+   the receive-buffer state (TCU), so a retry against an unchanged
+   [Shared_mem.generation] (+ the per-tile count of successful network
+   deliveries, for the TCU) is guaranteed to block again: skipping it is
+   unobservable. Halted entities are parked permanently ([never]) — a
+   core or TCU cannot un-halt within a run. *)
+type fast_state = {
+  codes : Fastexec.code array array;  (** Pre-decoded streams per tile. *)
+  core_park : int array array;
+  tcu_park : int array;
+  delivered : int array;
+}
 
-let shard_all_halted t = Array.for_all Tile.all_halted t.tiles
-let shard_add_cycles t n = t.total_cycles <- t.total_cycles + n
+let never = max_int
+
+let fast_state t =
+  {
+    codes = Array.map Tile.fast_code t.tiles;
+    core_park = Array.map (fun tile -> Array.make (Tile.num_cores tile) (-1)) t.tiles;
+    tcu_park = Array.make (Array.length t.tiles) (-1);
+    delivered = Array.make (Array.length t.tiles) 0;
+  }
+
+(* Fast stepping: the same pass as [step_reference] minus what nothing
+   can observe when it is eligible — no probe/hook dispatch, no
+   [Energy.set_scope] (dead with attribution off), cores step through the
+   pre-decoded [Fastexec] streams, parked entities and fully halted tiles
+   are skipped. *)
+let step_fast t fs ~now =
+  let { codes; core_park; tcu_park; delivered } = fs in
+  let progress = ref false in
+  for ti = 0 to Array.length t.tiles - 1 do
+    let tile = t.tiles.(ti) in
+    if not (Tile.all_halted tile) then begin
+      (if t.tcu_ready.(ti) <= now then
+         let park = tcu_park.(ti) in
+         if park <> never && park <> Tile.smem_generation tile + delivered.(ti)
+         then begin
+           match Tile.step_tcu tile ~now with
+           | Tile.Retired { cycles; _ } ->
+               t.tcu_ready.(ti) <- now + cycles;
+               progress := true
+           | Tile.Blocked _ ->
+               tcu_park.(ti) <- Tile.smem_generation tile + delivered.(ti)
+           | Tile.Halted -> tcu_park.(ti) <- never
+         end);
+      let fc = codes.(ti) and parks = core_park.(ti) and ready = t.core_ready.(ti) in
+      for c = 0 to Tile.num_cores tile - 1 do
+        if ready.(c) <= now then begin
+          let park = parks.(c) in
+          if park <> never && park <> Tile.smem_generation tile then begin
+            let r = Tile.step_core_fast tile fc c in
+            if r >= 0 then begin
+              ready.(c) <- now + r;
+              progress := true
+            end
+            else if r = Fastexec.r_halted then parks.(c) <- never
+            else parks.(c) <- Tile.smem_generation tile
+          end
+        end
+      done
+    end
+  done;
+  !progress
+
+(* Fast mode engages only when the run is observationally equivalent:
+   any instrumentation, fault plan or attribution forces reference
+   stepping. *)
+let fast_eligible t =
+  t.fast_enabled
+  && Option.is_none t.probe
+  && Option.is_none t.retire_hook
+  && (not t.faulted)
+  && not (Energy.attribution_enabled t.energy)
+
+(* Move every retired send of [tile] into the network; whether any
+   moved. *)
+let rec drain network tile drained =
+  match Tile.pop_outgoing tile with
+  | None -> drained
+  | Some (o : Tile.outgoing) ->
+      Network.send network ~now:o.issue_cycle
+        {
+          Network.src_tile = Tile.index tile;
+          dst_tile = o.target_tile;
+          fifo_id = o.fifo_id;
+          payload = o.payload;
+          seq = 0 (* assigned by Network.send *);
+        };
+      drain network tile true
+
+(* Deliver every message that has arrived by [now]; a full destination
+   FIFO pushes the message back with a one-cycle retry so it stays
+   visible to the time advance. FIFO push energy lands on the
+   destination. Whether anything was delivered. *)
+let rec deliver shards modes ~network ~stride ~now delivered =
+  match Network.pop_arrived network ~now with
+  | None -> delivered
+  | Some msg ->
+      let dst = msg.Network.dst_tile in
+      let k = dst / stride in
+      let t = shards.(k) and local = dst - (k * stride) in
+      let mode = modes.(k) in
+      if Option.is_none mode then Energy.set_scope t.energy dst;
+      let accepted =
+        Tile.deliver t.tiles.(local) ~fifo:msg.fifo_id ~src_tile:msg.src_tile
+          ~payload:msg.payload
+      in
+      if accepted then begin
+        Network.confirm_delivered network msg;
+        match mode with
+        | Some fs -> fs.delivered.(local) <- fs.delivered.(local) + 1
+        | None -> (
+            match t.probe with
+            | Some p ->
+                let rb = Tile.recv_buffer t.tiles.(local) in
+                p.on_deliver ~now ~tile:local ~fifo:msg.fifo_id
+                  ~occupancy:(Puma_tile.Recv_buffer.occupancy rb ~fifo:msg.fifo_id)
+            | None -> ())
+      end
+      else Network.requeue network ~now msg;
+      deliver shards modes ~network ~stride ~now (delivered || accepted)
+
+(* The run loop. Each pass: drain retired sends into the network (NoC
+   and off-chip energy attributed to the sending tile), deliver arrived
+   messages, step every ready entity (TCU then cores, tiles in ascending
+   global order), then finish, re-pass at the same cycle on progress (a
+   TCU receive can unblock a core's load within the cycle), or advance
+   time. Each shard picks its stepping mode once per run. *)
+let run_machine shards ~network ~stride ~outputs ~inputs =
+  Array.iter
+    (fun t ->
+      inject_inputs t inputs;
+      Array.iter Tile.reset t.tiles)
+    shards;
+  let start = shards.(0).now in
+  Array.iter
+    (fun t ->
+      match t.probe with Some p -> p.on_run_start ~now:start | None -> ())
+    shards;
+  let modes =
+    Array.map
+      (fun t ->
+        let fast = fast_eligible t in
+        t.last_run_fast <- fast;
+        if fast then Some (fast_state t) else None)
+      shards
+  in
+  let nshards = Array.length shards in
+  let now = ref start in
+  let finished = ref false in
+  while not !finished do
+    if !now - start > cycle_cap then failwith "Node.run: cycle cap exceeded";
+    let progress = ref false in
+    for k = 0 to nshards - 1 do
+      let t = shards.(k) in
+      let scoped = Option.is_none modes.(k) in
+      for ti = 0 to Array.length t.tiles - 1 do
+        let tile = t.tiles.(ti) in
+        if scoped then Energy.set_scope t.energy (Tile.index tile);
+        if drain network tile false then progress := true
+      done
+    done;
+    if deliver shards modes ~network ~stride ~now:!now false then
+      progress := true;
+    for k = 0 to nshards - 1 do
+      let t = shards.(k) in
+      let stepped =
+        match modes.(k) with
+        | Some fs -> step_fast t fs ~now:!now
+        | None -> step_reference t ~base:(k * stride) ~now:!now
+      in
+      if stepped then progress := true
+    done;
+    if Array.for_all all_halted shards && Network.in_flight network = 0 then
+      finished := true
+    else if not !progress then
+      now := advance_or_deadlock shards ~network ~stride ~now:!now
+  done;
+  let elapsed = !now - start in
+  Array.iter
+    (fun t ->
+      t.now <- !now;
+      t.total_cycles <- t.total_cycles + elapsed;
+      match t.probe with Some p -> p.on_run_end ~now:!now | None -> ())
+    shards;
+  read_outputs shards ~stride outputs
+
+let run t ~inputs =
+  run_machine [| t |] ~network:t.network
+    ~stride:(max 1 (Array.length t.tiles))
+    ~outputs:t.program.outputs ~inputs
+
+let finish_energy t =
+  Energy.add_static t.energy ~tiles:(tiles_used t)
+    ~cycles:(Float.of_int t.total_cycles);
+  (* Under per-tile attribution, spread the (already recorded) static
+     charge over the occupied tiles so the attributed rows account for the
+     whole ledger. *)
+  if Energy.attribution_enabled t.energy then begin
+    let share =
+      Energy.static_tile_pj t.config ~cycles:(Float.of_int t.total_cycles)
+    in
+    Array.iteri
+      (fun ti tp ->
+        if Program.tile_busy tp then Energy.attribute_pj t.energy ~tile:ti Static share)
+      t.program.tiles
+  end
 
 let set_retire_hook t hook = t.retire_hook <- hook
 let set_probe t probe = t.probe <- probe

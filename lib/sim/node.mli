@@ -5,7 +5,13 @@
     shared-memory attribute protocol and on receive FIFOs; messages
     traverse the mesh with the {!Puma_noc.Network} latency model. The
     simulator detects deadlock (every live entity blocked with an idle
-    network) and reports aggregate cycles and the shared energy ledger. *)
+    network) and reports aggregate cycles and the shared energy ledger.
+
+    There is one run loop, {!run_machine}, over an array of nodes sharing
+    one network; {!run} passes a single node. Each node in a run is
+    stepped in one of two modes: reference stepping through
+    {!Puma_arch.Core.step} with probe dispatch, or the pre-decoded fast
+    path when nothing observes the node (see {!set_fast}). *)
 
 exception Deadlock of string
 
@@ -51,11 +57,11 @@ val create :
     program's configuration has [write_noise_sigma > 0]; [noise_seed]
     makes it reproducible) and preload constant vectors.
 
-    [fast] (default [true]) allows {!run} to use the pre-decoded fast
-    execution path when nothing can observe the difference — see
+    [fast] (default [true]) allows {!run} to step through the
+    pre-decoded fast path when nothing can observe the difference — see
     {!set_fast} for the exact engagement rule. Results are bit-identical
-    either way; pass [~fast:false] to force the cycle-accurate reference
-    loop (e.g. as the golden side of a differential test).
+    either way; pass [~fast:false] to force cycle-accurate reference
+    stepping (e.g. as the golden side of a differential test).
 
     [faults] injects device/circuit faults at configuration time: each
     MVMU's fault set is realized deterministically from the plan's model
@@ -111,7 +117,7 @@ val probe_attached : t -> bool
 val set_fast : t -> bool -> unit
 (** Allow or forbid the fast execution path for subsequent {!run} calls.
     Even when allowed, fast mode engages only if the run is
-    observationally equivalent to the reference loop: no probe attached,
+    observationally equivalent to reference stepping: no probe attached,
     no retire hook installed, no fault plan, per-tile energy attribution
     off. Outputs, cycle counts, retired counts and the energy ledger
     (counts {e and} picojoules) are bit-identical in both modes — the
@@ -121,59 +127,36 @@ val fast_enabled : t -> bool
 (** Whether the fast path is currently allowed (not whether it ran). *)
 
 val last_run_fast : t -> bool
-(** Whether the most recent {!run} actually used the fast loop ([false]
-    before the first run). *)
+(** Whether the most recent {!run} actually stepped this node in fast
+    mode ([false] before the first run). *)
 
-val cycle_cap : int
-(** Runaway-program guard: a single run may not span more cycles than
-    this (shared by {!run} and the cluster run loop). *)
+(** {2 Multi-node run}
 
-(** {2 Cluster shard API}
+    [Puma_cluster.Cluster] runs several nodes as shards of one machine
+    through the same loop {!run} uses: one global clock, one shared
+    network, shards stepped in ascending global tile order. {!run} is the
+    one-shard case on the node's own network. *)
 
-    [Puma_cluster.Cluster] drives several nodes as shards of one logical
-    machine: a single global clock, a single shared fabric-aware
-    {!Puma_noc.Network}, shards stepped in global tile order. These
-    functions expose the reference run loop's passes individually; each
-    mirrors the corresponding pass of the monolithic loop exactly, which
-    is what makes a zero-cost-fabric cluster bit-identical (outputs,
-    cycles, energy event counts) to one big node. Clusters always execute
-    reference-style — the fast loop's parking bookkeeping is private to a
-    whole-node run. Do not mix these with {!run} on the same node. *)
+val network : t -> Puma_noc.Network.t
+(** The node's own on-chip network (charging {!energy}); the one {!run}
+    uses. *)
 
-val shard_begin_run : t -> inputs:(string * float array) list -> unit
-(** Inject this shard's inputs (bindings the shard's program slice owns)
-    and reset its instruction streams — the prologue {!run} performs. *)
-
-val shard_drain :
-  t ->
-  send:
-    (src:int ->
-    dst:int ->
-    fifo:int ->
-    payload:int array ->
-    issue:int ->
-    unit) ->
-  bool
-(** Drain retired sends from every tile (ascending order) into [send];
-    [src]/[dst] are global tile indices and [issue] the retirement cycle.
-    Returns whether anything was drained. *)
-
-val shard_deliver :
-  t -> local_tile:int -> fifo:int -> src_tile:int -> payload:int array -> bool
-(** Deliver a network message into the shard tile at array position
-    [local_tile]; [false] if the destination FIFO is full (caller
-    requeues). *)
-
-val shard_step : t -> now:int -> bool
-(** Step every ready entity (TCU then cores, tiles ascending) at global
-    cycle [now]; returns whether any instruction retired. *)
-
-val shard_next_event : t -> now:int -> int
-(** Earliest entity ready-time strictly after [now] ([max_int] if none) —
-    the shard's contribution to the cluster's time advance. *)
-
-val shard_all_halted : t -> bool
-
-val shard_add_cycles : t -> int -> unit
-(** Account cluster-run cycles to this shard so {!cycles} and
-    {!finish_energy} report correctly. *)
+val run_machine :
+  t array ->
+  network:Puma_noc.Network.t ->
+  stride:int ->
+  outputs:Puma_isa.Program.io_binding list ->
+  inputs:(string * float array) list ->
+  (string * float array) list
+(** One inference over [shards] sharing [network]. Shard [k] holds the
+    global tiles [k * stride] onward (its program keeps their global
+    [tile_index]es, with I/O bindings rebased to local positions);
+    [network] routes by global tile index and [outputs] are global
+    bindings. The shards' clocks must agree (they do when the shards only
+    ever run together). Each shard picks its stepping mode once per run
+    by the {!set_fast} rule, so a probe or fault plan on one shard puts
+    only that shard on reference stepping. Every shard's {!cycles},
+    {!last_run_fast} and probe callbacks are updated as for {!run}. With a
+    zero-cost fabric the event sequence is the one {!run} produces on the
+    unsplit program. Raises like {!run}; deadlock dumps name global tile
+    indices. *)

@@ -110,9 +110,9 @@ let test_compile_gate () =
     Compile.compile (config 128) (Network.build_graph Models.lenet5)
   with
   | _ -> Alcotest.fail "expected the analysis gate to reject lenet5"
-  | exception Failure msg ->
-      Alcotest.(check bool) "mentions code" true
-        (Puma_util.Strings.contains ~sub:"E-IMEM" msg)
+  | exception Compile.Analysis_failed r ->
+      Alcotest.(check (list string)) "carries the report" [ "E-IMEM" ]
+        (error_codes r)
 
 (* ---- Mutation corpus: one seeded defect per analysis class ---- *)
 

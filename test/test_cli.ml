@@ -102,6 +102,55 @@ let test_bad_flag_values_exit_nonzero () =
       [ "serve"; "--duration"; "0" ];
     ]
 
+(* Every simulating subcommand over the whole zoo at 1 and 2 nodes, with
+   the smallest workload each accepts: a run either succeeds (0) or fails
+   as a user-facing error (1) — never as an uncaught exception (125).
+   lenet5 overflows instruction memory at every dim, so its compile is
+   rejected by the analysis gate with the E-IMEM diagnostics on stderr. *)
+let zoo_sweep_cases =
+  List.concat_map
+    (fun model ->
+      List.concat_map
+        (fun nodes ->
+          let n = string_of_int nodes in
+          let small = [ "--dim"; "64"; "--domains"; "1" ] in
+          [
+            [ "run"; model; "--nodes"; n; "--dim"; "64" ];
+            [ "batch"; "--model"; model; "--nodes"; n; "--batch-size"; "1" ]
+            @ small;
+            [
+              "serve"; "--models"; model; "--cluster-nodes"; n; "--nodes"; "1";
+              "--duration"; "0.000005";
+            ]
+            @ small;
+            [
+              "faults"; "--model"; model; "--nodes"; n; "--rate"; "0.001";
+              "--seeds"; "1"; "--samples"; "1";
+            ]
+            @ small;
+          ]
+          |> List.map (fun args -> (model, args)))
+        [ 1; 2 ])
+    [ "mlp"; "lstm"; "rnn"; "lenet5"; "bm"; "rbm" ]
+
+let test_zoo_sweep_no_internal_errors () =
+  List.iter
+    (fun (model, args) ->
+      let label = String.concat " " args in
+      let status, err = Cli_runner.run_capture args in
+      Alcotest.(check bool)
+        (Printf.sprintf "exit 0 or 1 (got %d): %s" status label)
+        true
+        (status = 0 || status = 1);
+      if model = "lenet5" then begin
+        Alcotest.(check int) ("exit 1: " ^ label) 1 status;
+        Alcotest.(check bool)
+          ("E-IMEM on stderr: " ^ label)
+          true
+          (Puma_util.Strings.contains ~sub:"E-IMEM" err)
+      end)
+    zoo_sweep_cases
+
 (* A tiny serve run at dim 32 with a handful of arrivals, exercising the
    full record -> replay -> budget-gate pipeline through the real
    executable. *)
@@ -277,6 +326,8 @@ let () =
             test_fast_flag_exit_0;
           Alcotest.test_case "bad flags -> nonzero" `Quick
             test_bad_flag_values_exit_nonzero;
+          Alcotest.test_case "zoo x subcommand x nodes -> 0 or 1" `Quick
+            test_zoo_sweep_no_internal_errors;
         ] );
       ( "serve",
         [

@@ -235,6 +235,67 @@ let test_node_faults_are_per_node () =
   Alcotest.(check bool) "node 1 faults perturb" true (out1 <> clean_out);
   Alcotest.(check bool) "different nodes, different damage" true (out0 <> out1)
 
+(* --- deadlock diagnostics name global tiles ---------------------------- *)
+
+(* Drop the last node-0 -> node-1 send of a 2-node pipelined mlp (the
+   last, so no later packet on its channel arrives misaligned): its
+   receiver on node 1 waits forever, and the dump must say where, exactly
+   as a single node would — global tile index, core, pc. *)
+let test_cluster_deadlock_dump () =
+  let g = graph_of (`Net Models.mini_mlp) in
+  let program = compile ~cluster:{ Partition.nodes = 2; scheme = Pipelined } g in
+  let stride = Cluster.tiles_per_node (Cluster.create ~nodes:2 program) in
+  let node_of tile = tile / stride in
+  let last = ref None in
+  Array.iteri
+    (fun pos (tp : Program.tile_program) ->
+      Array.iteri
+        (fun i instr ->
+          match instr with
+          | Puma_isa.Instr.Send { target; _ } when node_of target > node_of pos
+            ->
+              last := Some (pos, i, target)
+          | _ -> ())
+        tp.tile_code)
+    program.Program.tiles;
+  let pos, drop, target =
+    match !last with
+    | Some found -> found
+    | None -> Alcotest.fail "no cross-node send"
+  in
+  let tiles = Array.copy program.Program.tiles in
+  let tp = tiles.(pos) in
+  tiles.(pos) <-
+    {
+      tp with
+      Program.tile_code =
+        Array.of_list
+          (List.filteri (fun i _ -> i <> drop) (Array.to_list tp.tile_code));
+    };
+  let cl = Cluster.create ~nodes:2 { program with Program.tiles } in
+  match Cluster.run cl ~inputs:(inputs_for program) with
+  | _ -> Alcotest.fail "expected a deadlock"
+  | exception Node.Deadlock msg ->
+      let lines = String.split_on_char '\n' msg in
+      Alcotest.(check bool) "single-node header" true
+        (String.starts_with ~prefix:"all live entities blocked at cycle"
+           (List.hd lines));
+      let blocked_core_tiles =
+        List.filter_map
+          (fun l ->
+            try
+              Scanf.sscanf l "  tile %d core %_d blocked at pc %_d%!" Option.some
+            with Scanf.Scan_failure _ | End_of_file | Failure _ -> None)
+          lines
+      in
+      Alcotest.(check bool) "a blocked core on node 1 is named" true
+        (List.exists (fun t -> node_of t = 1) blocked_core_tiles);
+      Alcotest.(check bool) "the receiving tile's TCU is named" true
+        (List.exists
+           (String.starts_with
+              ~prefix:(Printf.sprintf "  tile %d tcu pc " target))
+           lines)
+
 (* --- qcheck: random graphs, random node counts ----------------------- *)
 
 let qcheck_count = 8
@@ -335,6 +396,11 @@ let () =
         [
           Alcotest.test_case "per-node fault plans stay local" `Quick
             test_node_faults_are_per_node;
+        ] );
+      ( "deadlock",
+        [
+          Alcotest.test_case "dump names global tile, core, pc" `Quick
+            test_cluster_deadlock_dump;
         ] );
       ( "qcheck",
         [ QCheck_alcotest.to_alcotest qcheck_cluster_matches_single ] );

@@ -19,6 +19,8 @@ module Batch = Puma_runtime.Batch
 module Fault = Puma_xbar.Fault
 module Models = Puma_nn.Models
 module Profile = Puma_profile.Profile
+module Cluster = Puma_cluster.Cluster
+module Partition = Puma_compiler.Partition
 
 let zoo =
   [
@@ -181,6 +183,82 @@ let test_batch_domains () =
         true (s_fast = s_slow))
     [ 1; 2; 4 ]
 
+(* ---- clusters: every shard takes the fast path, same results ---- *)
+
+(* Two back-to-back inferences on a real-cost mesh cluster; [fast:false]
+   forbids the fast path on every shard. *)
+let run_cluster ?node_faults ~fast ~nodes program =
+  let cl =
+    Cluster.create ~nodes ~topology:Puma_noc.Fabric.Mesh2d ~noise_seed:3
+      ?node_faults program
+  in
+  for k = 0 to nodes - 1 do
+    Node.set_fast (Cluster.shard cl k) fast
+  done;
+  let outs =
+    List.map
+      (fun seed -> Cluster.run cl ~inputs:(inputs_for program ~seed))
+      [ 42; 43 ]
+  in
+  (cl, outs)
+
+let check_cluster_identical name (c1, o1) (c2, o2) =
+  Alcotest.(check bool) (name ^ ": outputs bit-identical") true (o1 = o2);
+  Alcotest.(check int) (name ^ ": cycles") (Cluster.cycles c2)
+    (Cluster.cycles c1);
+  Alcotest.(check (list int))
+    (name ^ ": energy event counts")
+    (List.map snd (Cluster.energy_counts c2))
+    (List.map snd (Cluster.energy_counts c1));
+  Alcotest.(check int) (name ^ ": off-chip words") (Cluster.offchip_words c2)
+    (Cluster.offchip_words c1)
+
+let shard_modes cl =
+  List.init (Cluster.nodes cl) (fun k -> Node.last_run_fast (Cluster.shard cl k))
+
+(* Pipelined cluster compile (the whole zoo fits 2 and 4 nodes). *)
+let cluster_program graph ~nodes =
+  let options =
+    {
+      Compile.default_options with
+      analysis_gate = false;
+      cluster = Some { Partition.nodes; scheme = Partition.Pipelined };
+    }
+  in
+  (Compile.compile ~options mini_config graph).Compile.program
+
+let test_cluster_zoo () =
+  List.iter
+    (fun nodes ->
+      List.iter
+        (fun (name, graph) ->
+          let program = cluster_program graph ~nodes in
+          let name = Printf.sprintf "%s @ %d nodes" name nodes in
+          let fast = run_cluster ~fast:true ~nodes program in
+          let slow = run_cluster ~fast:false ~nodes program in
+          Alcotest.(check (list bool))
+            (name ^ ": every shard fast")
+            (List.init nodes (fun _ -> true))
+            (shard_modes (fst fast));
+          Alcotest.(check (list bool))
+            (name ^ ": every shard reference")
+            (List.init nodes (fun _ -> false))
+            (shard_modes (fst slow));
+          check_cluster_identical name fast slow)
+        zoo)
+    [ 2; 4 ]
+
+let test_cluster_fault_forces_shard () =
+  let program = cluster_program (List.assoc "mlp" zoo) ~nodes:2 in
+  let plan = Fault.plan ~seed:11 { Fault.ideal with Fault.stuck_rate = 0.01 } in
+  let node_faults = [| Some plan; None |] in
+  let fast = run_cluster ~node_faults ~fast:true ~nodes:2 program in
+  let slow = run_cluster ~node_faults ~fast:false ~nodes:2 program in
+  Alcotest.(check (list bool))
+    "faulted shard on reference, the other fast" [ false; true ]
+    (shard_modes (fst fast));
+  check_cluster_identical "mlp @ 2 nodes, shard 0 faulted" fast slow
+
 (* ---- property: random programs agree exactly, with shrinking ---- *)
 
 let random_mlp n_in n_h seed =
@@ -256,6 +334,9 @@ let () =
           Alcotest.test_case "fault plan forces reference" `Quick
             test_faults_force_reference;
           Alcotest.test_case "batch across domains" `Quick test_batch_domains;
+          Alcotest.test_case "cluster zoo @ 2, 4 nodes" `Quick test_cluster_zoo;
+          Alcotest.test_case "fault plan forces its shard to reference" `Quick
+            test_cluster_fault_forces_shard;
         ] );
       ( "property",
         [
