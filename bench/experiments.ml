@@ -1345,9 +1345,9 @@ let run_scaleout () =
           node_counts)
       schemes
   in
-  (* The reliability row: the same model under the multi-node fault
-     campaign at the sweep's largest node count — per-chip blast radius
-     next to the cluster-wide flip rate. *)
+  (* The reliability row: the same model under the fault campaign at the
+     sweep's largest node count — per-chip blast radius next to the
+     cluster-wide flip rate. *)
   let fault_nodes = List.fold_left max 1 node_counts in
   let fault_report =
     let options =
@@ -1357,7 +1357,7 @@ let run_scaleout () =
       }
     in
     let r = Compile.compile ~options mini_config g in
-    Puma_fault.Campaign.run_cluster ~nodes:r.Compile.nodes_used
+    Puma_fault.Campaign.run ~nodes:r.Compile.nodes_used
       ~key:"mini-lstm" r.Compile.program
       {
         Puma_fault.Campaign.default_spec with
@@ -1366,9 +1366,9 @@ let run_scaleout () =
         samples = (if quick then 4 else 8);
       }
   in
-  let ft = Puma_fault.Campaign.cluster_table fault_report in
+  let ft = Puma_fault.Campaign.table fault_report in
   let fault_json =
-    match Puma_fault.Campaign.cluster_to_json fault_report with
+    match Puma_fault.Campaign.to_json fault_report with
     | Json.Obj fields -> Json.Obj (("table", Json.String "faults") :: fields)
     | j -> j
   in

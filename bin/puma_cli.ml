@@ -85,7 +85,7 @@ let fast_arg =
               ~doc:
                 "Allow the pre-decoded fast execution path (the default). \
                  Bit-identical to the reference loop; automatically disabled \
-                 when a profiler, trace or fault plan is attached." );
+                 when a profiler or trace is attached." );
           ( false,
             info [ "no-fast" ]
               ~doc:"Force the cycle-accurate reference execution loop." );
@@ -1213,7 +1213,7 @@ let profile_cmd =
             "Also write a Chrome trace-event file (load in chrome://tracing \
              or ui.perfetto.dev; 1 trace microsecond = 1 simulated cycle).")
   in
-  let run target runs seed top json chrome dim fast =
+  let run target runs seed top json chrome dim =
     if runs <= 0 then exit_err "--runs must be positive";
     (* Gate off, as in analyze/bench: a program that fails static analysis
        (lenet5's known core-imem overflow) still simulates, and profiling
@@ -1238,9 +1238,8 @@ let profile_cmd =
         | Ok m -> compile_model m
         | Error e -> exit_err e
     in
-    (* The attached profiler forces the reference loop regardless of
-       [fast]; the flag is accepted for interface symmetry. *)
-    let node = Puma_sim.Node.create ~fast program in
+    (* The attached profiler forces the reference loop. *)
+    let node = Puma_sim.Node.create program in
     let profile = Puma_profile.Profile.create () in
     Puma_profile.Profile.attach profile node;
     let rng = Puma_util.Rng.create seed in
@@ -1273,8 +1272,7 @@ let profile_cmd =
          "Simulate with the cycle-level profiler attached: stall accounting, \
           per-tile energy attribution, optional Chrome trace export")
     Term.(
-      const run $ target $ runs $ seed $ top $ json $ chrome $ dim_arg
-      $ fast_arg)
+      const run $ target $ runs $ seed $ top $ json $ chrome $ dim_arg)
 
 (* ---- faults ---- *)
 
@@ -1366,8 +1364,7 @@ let faults_cmd =
              radius next to the cluster-wide flip rate.")
   in
   let run model rates seeds fault_seed samples input_seed remap stuck_on
-      drift_tau drift_age adc_sigma domains json nodes topology scheme dim
-      fast =
+      drift_tau drift_age adc_sigma domains json nodes topology scheme dim =
     match find_mini model with
     | Error e -> exit_err e
     | Ok m ->
@@ -1388,67 +1385,59 @@ let faults_cmd =
             adc_offset_sigma = adc_sigma;
           }
         in
-        (match Puma_fault.Fault_model.validate base with
-        | Ok _ -> ()
-        | Error e -> exit_err e);
+        let rates =
+          if rates = [] then Puma_fault.Campaign.default_spec.rates else rates
+        in
+        let check what model =
+          match Puma_fault.Fault_model.validate model with
+          | Ok _ -> ()
+          | Error e -> exit_err (what ^ e)
+        in
+        check "" base;
+        List.iter
+          (fun r ->
+            check
+              (Printf.sprintf "--rate %g: " r)
+              (Puma_fault.Campaign.at_rate base r))
+          rates;
         let spec =
           {
             Puma_fault.Campaign.base;
-            rates =
-              (if rates = [] then Puma_fault.Campaign.default_spec.rates
-               else rates);
+            rates;
             fault_seeds = List.init seeds (fun i -> fault_seed + i);
             samples;
             input_seed;
             remap;
           }
         in
-        let config = config_of_dim dim in
-        let cache = Puma_runtime.Program_cache.create () in
-        let g = graph_of m in
-        if nodes > 1 then begin
-          let topology = parse_topology topology in
-          let options =
+        let topology = parse_topology topology in
+        let options =
+          if nodes = 1 then Compile.default_options
+          else
             {
               Compile.default_options with
               cluster = Some { Partition.nodes; scheme = parse_scheme scheme };
             }
-          in
-          let result = Compile.compile ~options config g in
-          let report =
-            Puma_fault.Campaign.run_cluster ~domains ~topology
-              ~nodes:result.Puma_compiler.Compile.nodes_used ~key:model
-              result.Puma_compiler.Compile.program spec
-          in
-          if json then
-            print_endline
-              (Puma_util.Json.to_string
-                 (Puma_fault.Campaign.cluster_to_json report))
-          else Puma_util.Table.print (Puma_fault.Campaign.cluster_table report)
-        end
+        in
+        let result = Compile.compile ~options (config_of_dim dim) (graph_of m) in
+        let nodes = if nodes = 1 then 1 else result.Compile.nodes_used in
+        let report =
+          Puma_fault.Campaign.run ~domains ~nodes ~topology ~key:model
+            result.Compile.program spec
+        in
+        if json then
+          print_endline
+            (Puma_util.Json.to_string (Puma_fault.Campaign.to_json report))
         else begin
-          let result =
-            Puma_runtime.Program_cache.get cache ~config ~key:model (fun () ->
-                g)
-          in
-          let program = result.Puma_compiler.Compile.program in
-          let report =
-            Puma_fault.Campaign.run ~domains ~fast ~key:model program spec
-          in
-          if json then
-            print_endline
-              (Puma_util.Json.to_string (Puma_fault.Campaign.to_json report))
-          else begin
-            Puma_util.Table.print (Puma_fault.Campaign.table report);
-            Array.iter
-              (fun (p : Puma_fault.Campaign.point) ->
-                List.iter
-                  (fun d ->
-                    Format.printf "rate %.0e seed %d: %a@." p.rate p.fault_seed
-                      Puma_analysis.Diag.pp d)
-                  p.diags)
-              report.points
-          end
+          Puma_util.Table.print (Puma_fault.Campaign.table report);
+          Array.iter
+            (fun (p : Puma_fault.Campaign.point) ->
+              List.iter
+                (fun d ->
+                  Format.printf "rate %.0e seed %d: %a@." p.rate p.fault_seed
+                    Puma_analysis.Diag.pp d)
+                p.diags)
+            report.points
         end
   in
   Cmd.v
@@ -1460,7 +1449,7 @@ let faults_cmd =
     Term.(
       const run $ model $ rates $ seeds $ fault_seed $ samples $ input_seed
       $ remap $ stuck_on $ drift_tau $ drift_age $ adc_sigma $ domains $ json
-      $ nodes $ topology_arg $ scheme_arg $ dim_arg $ fast_arg)
+      $ nodes $ topology_arg $ scheme_arg $ dim_arg)
 
 (* ---- estimate ---- *)
 

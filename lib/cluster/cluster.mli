@@ -11,8 +11,8 @@
     zero-cost fabric is bit-identical (outputs, cycles, energy event
     counts) to {!Puma_sim.Node.run} on the unsplit program — the contract
     [test/test_cluster.ml] pins for the whole model zoo. Each shard takes
-    the fast path unless something observes it (a probe, a retire hook, a
-    fault plan, energy attribution); see {!Puma_sim.Node.set_fast}.
+    the fast path unless something observes it (a probe, a retire hook,
+    energy attribution); see {!Puma_sim.Node.set_fast}.
 
     A one-node cluster is a plain {!Puma_sim.Node}: the shard keeps its
     own network, so its ledger holds everything, NoC included.

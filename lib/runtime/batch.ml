@@ -97,14 +97,6 @@ let warmed_machine ?noise_seed ?topology ?node_faults ?fast ~nodes program =
   ignore (Cluster.run machine ~inputs:zeros);
   machine
 
-let single_plan = Option.map (fun plan -> [| Some plan |])
-
-let warmed_node ?noise_seed ?faults ?fast program =
-  Cluster.shard
-    (warmed_machine ?noise_seed ?node_faults:(single_plan faults) ?fast
-       ~nodes:1 program)
-    0
-
 (* Deterministic greedy (least-loaded) schedule of the per-request costs
    over [domains] simulated nodes, in request order. *)
 let greedy_makespan ~domains costs =
@@ -174,7 +166,7 @@ let merge_stalls splits =
       if n > 0 then Some (reason, n) else None)
     Puma_arch.Core.all_stalls
 
-let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?fast
+let run ?domains ?cluster_nodes ?topology ?noise_seed ?node_faults ?fast
     ?(profile = false) (program : Program.t) requests =
   let domains =
     match domains with
@@ -187,17 +179,14 @@ let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?fast
     invalid_arg (Printf.sprintf "Batch.run: %d cluster nodes" nodes);
   if nodes > 1 && profile then
     invalid_arg "Batch.run: profiling is single-node only";
-  if nodes > 1 && Option.is_some faults then
-    invalid_arg
-      "Batch.run: per-node fault plans go through Campaign.run_cluster";
   let requests = Array.of_list requests in
   let n = Array.length requests in
   let responses =
     Pool.map_init ~domains ~n
       ~init:(fun ~worker:_ ->
         let machine =
-          warmed_machine ?noise_seed ?topology
-            ?node_faults:(single_plan faults) ?fast ~nodes program
+          warmed_machine ?noise_seed ?topology ?node_faults ?fast ~nodes
+            program
         in
         (* Attach the profiler only after warm-up, so the profile (like
            every other metric) covers exactly the served requests. *)

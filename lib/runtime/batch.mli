@@ -91,18 +91,10 @@ val warmed_machine :
     one chip is a plain node) that has already served one throwaway
     all-zero inference, so every subsequent request sees identical steady
     state (the warmed-machine pattern behind the determinism guarantee;
-    also used by the serving runtime's fleet and the fault campaigns).
+    also used by the serving runtime's fleet).
     [fast] is applied to every chip (default as {!Puma_sim.Node.create}).
     The warm-up's cycles and energy stay on the machine's counters —
     {!infer} measures per-request deltas. *)
-
-val warmed_node :
-  ?noise_seed:int ->
-  ?faults:Puma_xbar.Fault.plan ->
-  ?fast:bool ->
-  Puma_isa.Program.t ->
-  Puma_sim.Node.t
-(** The single node of a one-chip {!warmed_machine}. *)
 
 val infer : Puma_cluster.Cluster.t -> request -> response
 (** Serve one request on a machine: its outputs, the cycles it took and
@@ -119,7 +111,7 @@ val run :
   ?cluster_nodes:int ->
   ?topology:Puma_noc.Fabric.topology ->
   ?noise_seed:int ->
-  ?faults:Puma_xbar.Fault.plan ->
+  ?node_faults:Puma_xbar.Fault.plan option array ->
   ?fast:bool ->
   ?profile:bool ->
   Puma_isa.Program.t ->
@@ -132,18 +124,17 @@ val run :
     [topology], default mesh) — [domains] replicates whole machines, so
     the two axes compose: host-parallel workers, each simulating one
     multi-chip machine. Per-request cycles and dynamic energy come from
-    the machine's global clock and summed ledgers. [profile] and [faults]
-    are single-node only (per-node fault plans go through
-    [Campaign.run_cluster]) and raise [Invalid_argument] with more than
-    one chip.
+    the machine's global clock and summed ledgers. [profile] is
+    single-node only and raises [Invalid_argument] with more than one
+    chip.
 
     [domains] defaults to
-    {!Puma_util.Pool.default_domains}; [noise_seed], [faults] and [fast]
-    are passed to every node (defaults as {!Puma_sim.Node.create} — with
-    [faults], every worker node carries the same deterministically
-    realized fault set, so responses stay independent of the domain
-    count; [fast] is bit-identical either way, so batch results never
-    depend on it). The response array is in request-index order. Raises
+    {!Puma_util.Pool.default_domains}; [noise_seed], [node_faults] and
+    [fast] are passed to every worker's machine (as
+    {!warmed_machine}; [node_faults] needs one slot per chip — with it,
+    every worker's chip [k] carries the same deterministically realized
+    fault set, so responses stay independent of the domain count; [fast]
+    is bit-identical either way, so batch results never depend on it). The response array is in request-index order. Raises
     like {!Puma_sim.Node.run} on bad programs or missing inputs.
 
     [profile] (default [false]) attaches a {!Puma_profile.Profile} to each

@@ -30,7 +30,6 @@ type t = {
   network : Network.t;
   core_ready : int array array;
   tcu_ready : int array;
-  faulted : bool;
   mutable fast_enabled : bool;
   mutable last_run_fast : bool;
   mutable now : int;
@@ -89,7 +88,6 @@ let create ?(noise_seed = 42) ?faults ?(fast = true) (program : Program.t) =
     network = Network.create config ~energy ~num_tiles:(max 1 ntiles);
     core_ready = Array.init ntiles (fun _ -> Array.make config.cores_per_tile 0);
     tcu_ready = Array.make ntiles 0;
-    faulted = Option.is_some faults;
     fast_enabled = fast;
     last_run_fast = false;
     now = 0;
@@ -348,13 +346,13 @@ let step_fast t fs ~now =
   !progress
 
 (* Fast mode engages only when the run is observationally equivalent:
-   any instrumentation, fault plan or attribution forces reference
-   stepping. *)
+   any instrumentation or attribution forces reference stepping. A fault
+   plan does not: faulted stacks are noisy, and the fast MVM kernel
+   already falls back to the faulted one for noisy stacks. *)
 let fast_eligible t =
   t.fast_enabled
   && Option.is_none t.probe
   && Option.is_none t.retire_hook
-  && (not t.faulted)
   && not (Energy.attribution_enabled t.energy)
 
 (* Move every retired send of [tile] into the network; whether any

@@ -118,10 +118,12 @@ val set_fast : t -> bool -> unit
 (** Allow or forbid the fast execution path for subsequent {!run} calls.
     Even when allowed, fast mode engages only if the run is
     observationally equivalent to reference stepping: no probe attached,
-    no retire hook installed, no fault plan, per-tile energy attribution
-    off. Outputs, cycle counts, retired counts and the energy ledger
-    (counts {e and} picojoules) are bit-identical in both modes — the
-    contract test/test_fastpath.ml enforces. *)
+    no retire hook installed, per-tile energy attribution off. A fault
+    plan does not demote the node: faulted stacks are noisy and the fast
+    MVM kernel runs them through the faulted reference kernel. Outputs,
+    cycle counts, retired counts and the energy ledger (counts {e and}
+    picojoules) are bit-identical in both modes — the contract
+    test/test_fastpath.ml enforces. *)
 
 val fast_enabled : t -> bool
 (** Whether the fast path is currently allowed (not whether it ran). *)
@@ -154,8 +156,8 @@ val run_machine :
     [network] routes by global tile index and [outputs] are global
     bindings. The shards' clocks must agree (they do when the shards only
     ever run together). Each shard picks its stepping mode once per run
-    by the {!set_fast} rule, so a probe or fault plan on one shard puts
-    only that shard on reference stepping. Every shard's {!cycles},
+    by the {!set_fast} rule, so a probe on one shard puts only that shard
+    on reference stepping. Every shard's {!cycles},
     {!last_run_fast} and probe callbacks are updated as for {!run}. With a
     zero-cost fabric the event sequence is the one {!run} produces on the
     unsplit program. Raises like {!run}; deadlock dumps name global tile

@@ -32,14 +32,14 @@ let validate m =
   let rate name v acc =
     match acc with
     | Error _ -> acc
-    | Ok _ when v < 0.0 || v > 1.0 ->
+    | Ok _ when not (v >= 0.0 && v <= 1.0) ->
         Error (Printf.sprintf "%s must be in [0, 1] (got %g)" name v)
     | Ok _ -> acc
   in
   let nonneg name v acc =
     match acc with
     | Error _ -> acc
-    | Ok _ when v < 0.0 -> Error (Printf.sprintf "%s must be >= 0 (got %g)" name v)
+    | Ok _ when not (v >= 0.0) -> Error (Printf.sprintf "%s must be >= 0 (got %g)" name v)
     | Ok _ -> acc
   in
   Ok m

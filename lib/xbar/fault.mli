@@ -45,7 +45,8 @@ val ideal : t
 val is_ideal : t -> bool
 
 val validate : t -> (t, string) result
-(** Checks rates are in [0, 1] and sigmas/taus are non-negative. *)
+(** Checks rates are in [0, 1] and sigmas/taus are non-negative; NaN
+    fails both checks. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -54,7 +54,7 @@ let test_known_good_exit_0 () =
     ]
 
 (* The fast-path toggle must be accepted — and the run must succeed —
-   in both polarities on every simulating subcommand (results are
+   in both polarities on the subcommands that take it (results are
    bit-identical either way; test_fastpath.ml pins that at the library
    level, this pins the flag plumbing). Small dims keep these quick. *)
 let fastflag_cases =
@@ -65,11 +65,6 @@ let fastflag_cases =
         [
           "batch"; "--model"; "mlp"; "--dim"; "32"; "--batch-size"; "2";
           "--domains"; "1"; fast_flag;
-        ];
-        [ "profile"; "mlp"; "--dim"; "32"; "--runs"; "1"; fast_flag ];
-        [
-          "faults"; "--model"; "mlp"; "--dim"; "32"; "--rate"; "0.001";
-          "--seeds"; "1"; "--samples"; "1"; "--domains"; "1"; fast_flag;
         ];
       ])
     [ "--fast"; "--no-fast" ]
@@ -101,6 +96,29 @@ let test_bad_flag_values_exit_nonzero () =
       [ "serve"; "--nodes"; "0" ];
       [ "serve"; "--duration"; "0" ];
     ]
+
+(* Out-of-range and NaN fault-model values are user errors (exit 1) at
+   any node count: never an uncaught exception (125), never a silent
+   campaign over a NaN rate (0). *)
+let test_bad_fault_values_exit_1 () =
+  List.iter
+    (fun nodes ->
+      List.iter
+        (fun bad ->
+          let args =
+            [ "faults"; "--model"; "mlp"; "--dim"; "64"; "--nodes"; nodes ]
+            @ bad
+          in
+          Alcotest.(check int)
+            ("exit 1: " ^ String.concat " " args)
+            1 (run args))
+        [
+          [ "--rate"; "2" ];
+          [ "--rate=-0.5" ];
+          [ "--rate"; "nan" ];
+          [ "--adc-sigma"; "nan" ];
+        ])
+    [ "1"; "2" ]
 
 (* Every simulating subcommand over the whole zoo at 1 and 2 nodes, with
    the smallest workload each accepts: a run either succeeds (0) or fails
@@ -328,6 +346,8 @@ let () =
             test_bad_flag_values_exit_nonzero;
           Alcotest.test_case "zoo x subcommand x nodes -> 0 or 1" `Quick
             test_zoo_sweep_no_internal_errors;
+          Alcotest.test_case "bad fault values -> 1" `Quick
+            test_bad_fault_values_exit_1;
         ] );
       ( "serve",
         [

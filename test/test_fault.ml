@@ -1,8 +1,9 @@
 (* The fault-injection & reliability subsystem: deterministic fault
    realization, the zero-fault differential guarantee (campaigns with
    every impairment off are bit-identical to the plain batch runtime, for
-   any domain count), fault perturbation, and the remapping pass's
-   accuracy recovery and capacity diagnostics. *)
+   any domain count, on one chip and on two), per-chip fault plans, fault
+   perturbation, and the remapping pass's accuracy recovery and capacity
+   diagnostics. *)
 
 module Config = Puma_hwmodel.Config
 module Compile = Puma_compiler.Compile
@@ -15,13 +16,29 @@ module Remap = Puma_fault.Remap
 module Campaign = Puma_fault.Campaign
 module Diag = Puma_analysis.Diag
 module Json = Puma_util.Json
+module Cluster = Puma_cluster.Cluster
+module Partition = Puma_compiler.Partition
 
-let program_of ?(dim = 32) net =
+let program_of ?(dim = 32) ?(nodes = 1) net =
   let config = { Config.sweetspot with mvmu_dim = dim } in
-  (Compile.compile config (Network.build_graph net)).Compile.program
+  let options =
+    if nodes = 1 then Compile.default_options
+    else
+      {
+        Compile.default_options with
+        cluster = Some { Partition.nodes; scheme = Partition.Pipelined };
+      }
+  in
+  (Compile.compile ~options config (Network.build_graph net)).Compile.program
 
 let mlp32 = lazy (program_of Models.mini_mlp)
 let mlp64 = lazy (program_of ~dim:64 Models.mini_mlp)
+
+(* The same model placed across two chips. *)
+let mlp32x2 = lazy (program_of ~nodes:2 Models.mini_mlp)
+
+(* Every program a campaign test runs, with its node count. *)
+let machines = [ (1, mlp32); (2, mlp32x2) ]
 
 (* ---- Fault model & realization ---- *)
 
@@ -39,6 +56,11 @@ let test_validate () =
       { Fault.ideal with stuck_on_fraction = 2.0 };
       { Fault.ideal with dead_in_rate = -1.0 };
       { Fault.ideal with adc_offset_sigma = -0.5 };
+      (* NaN fails every ordered comparison, so it must fail the checks. *)
+      { Fault.ideal with stuck_rate = Float.nan };
+      { Fault.ideal with dead_out_rate = Float.nan };
+      { Fault.ideal with adc_offset_sigma = Float.nan };
+      { Fault.ideal with drift_tau_cycles = Float.nan };
     ]
 
 let test_realize_deterministic () =
@@ -116,35 +138,41 @@ let zero_spec =
   }
 
 let test_zero_fault_differential () =
-  let program = Lazy.force mlp32 in
-  let requests =
-    Batch.random_requests program ~batch:zero_spec.Campaign.samples
-      ~seed:zero_spec.Campaign.input_seed
-  in
-  let plain, _ = Batch.run ~domains:1 program requests in
   List.iter
-    (fun domains ->
-      let report =
-        Campaign.run ~domains ~key:"mlp" program
-          { zero_spec with remap = domains mod 2 = 0 }
+    (fun (nodes, program) ->
+      let program = Lazy.force program in
+      let requests =
+        Batch.random_requests program ~batch:zero_spec.Campaign.samples
+          ~seed:zero_spec.Campaign.input_seed
       in
-      check_responses_identical
-        (Printf.sprintf "golden d=%d" domains)
-        plain report.Campaign.golden;
-      Array.iter
-        (fun (p : Campaign.point) ->
+      let plain, _ =
+        Batch.run ~domains:1 ~cluster_nodes:nodes program requests
+      in
+      List.iter
+        (fun domains ->
+          let report =
+            Campaign.run ~domains ~nodes ~key:"mlp" program
+              { zero_spec with remap = domains mod 2 = 0 }
+          in
           check_responses_identical
-            (Printf.sprintf "zero-fault point d=%d seed=%d" domains
-               p.fault_seed)
-            plain p.responses;
-          Alcotest.(check int) "no faults" 0 p.total_faults;
-          Alcotest.(check int) "max err 0" 0 p.max_err_ulps;
-          Alcotest.(check (float 0.0)) "flip rate 0" 0.0 p.flip_rate)
-        report.Campaign.points)
-    [ 1; 2; 4 ]
+            (Printf.sprintf "golden n=%d d=%d" nodes domains)
+            plain report.Campaign.golden;
+          Array.iter
+            (fun (p : Campaign.point) ->
+              check_responses_identical
+                (Printf.sprintf "zero-fault point n=%d d=%d seed=%d" nodes
+                   domains p.fault_seed)
+                plain p.responses;
+              Alcotest.(check int) "no faults" 0 p.total_faults;
+              Alcotest.(check int) "max err 0" 0 p.max_err_ulps;
+              Alcotest.(check (float 0.0)) "flip rate 0" 0.0 p.flip_rate;
+              Alcotest.(check (array (float 0.0)))
+                "no node flips" (Array.make nodes 0.0) p.node_flip_rates)
+            report.Campaign.points)
+        [ 1; 2; 4 ])
+    machines
 
 let test_campaign_deterministic_across_domains () =
-  let program = Lazy.force mlp32 in
   let spec =
     {
       Campaign.default_spec with
@@ -153,19 +181,73 @@ let test_campaign_deterministic_across_domains () =
       samples = 4;
     }
   in
-  let a = Campaign.run ~domains:1 ~key:"mlp" program spec in
-  let b = Campaign.run ~domains:4 ~key:"mlp" program spec in
-  Array.iteri
-    (fun i (pa : Campaign.point) ->
-      let pb = b.Campaign.points.(i) in
-      Alcotest.(check int) "faults" pa.total_faults pb.total_faults;
-      Alcotest.(check int) "max ulps" pa.max_err_ulps pb.max_err_ulps;
-      Alcotest.(check bool) "mean ulps" true
-        (Float.equal pa.mean_err_ulps pb.mean_err_ulps);
-      Alcotest.(check bool) "flip rate" true
-        (Float.equal pa.flip_rate pb.flip_rate);
-      check_responses_identical "responses" pa.responses pb.responses)
-    a.Campaign.points
+  List.iter
+    (fun (nodes, program) ->
+      let program = Lazy.force program in
+      let a = Campaign.run ~domains:1 ~nodes ~key:"mlp" program spec in
+      let b = Campaign.run ~domains:4 ~nodes ~key:"mlp" program spec in
+      Array.iteri
+        (fun i (pa : Campaign.point) ->
+          let pb = b.Campaign.points.(i) in
+          Alcotest.(check int) "faults" pa.total_faults pb.total_faults;
+          Alcotest.(check (array int)) "node faults" pa.node_faults
+            pb.node_faults;
+          Alcotest.(check int) "max ulps" pa.max_err_ulps pb.max_err_ulps;
+          Alcotest.(check bool) "mean ulps" true
+            (Float.equal pa.mean_err_ulps pb.mean_err_ulps);
+          Alcotest.(check bool) "flip rate" true
+            (Float.equal pa.flip_rate pb.flip_rate);
+          Alcotest.(check bool) "node flip rates" true
+            (Array.for_all2 Float.equal pa.node_flip_rates pb.node_flip_rates);
+          check_responses_identical "responses" pa.responses pb.responses)
+        a.Campaign.points)
+    machines
+
+let test_node_plans () =
+  (* Chip k's plan is Remap.build on shard k: the grid point's own seed on
+     chip 0, a per-chip mix of it on every other chip. One chip reports
+     its whole-program count and its own flip rate. *)
+  let spec =
+    {
+      Campaign.default_spec with
+      rates = [ 5e-3 ];
+      fault_seeds = [ 1; 2 ];
+      samples = 2;
+      remap = true;
+    }
+  in
+  List.iter
+    (fun (nodes, program) ->
+      let program = Lazy.force program in
+      let report = Campaign.run ~domains:1 ~nodes ~key:"mlp" program spec in
+      let shards = Cluster.split_program program ~nodes in
+      Alcotest.(check int) "report nodes" nodes report.Campaign.nodes;
+      Array.iter
+        (fun (p : Campaign.point) ->
+          let want =
+            Array.mapi
+              (fun k shard ->
+                let seed =
+                  if k = 0 then p.fault_seed
+                  else Batch.request_seed ~seed:p.fault_seed ~index:k
+                in
+                (Remap.build ~model:(Campaign.at_rate spec.base p.rate) ~seed
+                   shard)
+                  .Remap.total_faults)
+              shards
+          in
+          Alcotest.(check (array int))
+            (Printf.sprintf "node faults n=%d seed=%d" nodes p.fault_seed)
+            want p.node_faults;
+          Alcotest.(check int) "node faults sum to total" p.total_faults
+            (Array.fold_left ( + ) 0 p.node_faults);
+          Alcotest.(check int) "one flip rate per node" nodes
+            (Array.length p.node_flip_rates);
+          if nodes = 1 then
+            Alcotest.(check bool) "one node: own flip rate" true
+              (p.node_flip_rates = [| p.flip_rate |]))
+        report.Campaign.points)
+    machines
 
 let test_faults_perturb_outputs () =
   let program = Lazy.force mlp32 in
@@ -230,7 +312,9 @@ let test_perms_without_faults_bit_identical () =
     program.Puma_isa.Program.tiles;
   let requests = Batch.random_requests program ~batch:3 ~seed:5 in
   let plain, _ = Batch.run ~domains:1 program requests in
-  let permuted, _ = Batch.run ~domains:1 ~faults:plan program requests in
+  let permuted, _ =
+    Batch.run ~domains:1 ~node_faults:[| Some plan |] program requests
+  in
   check_responses_identical "permuted" plain permuted
 
 let test_remap_counts_and_flags () =
@@ -297,7 +381,6 @@ let test_remap_recovers_accuracy () =
 (* ---- Report rendering ---- *)
 
 let test_report_json () =
-  let program = Lazy.force mlp32 in
   let spec =
     {
       Campaign.default_spec with
@@ -307,38 +390,56 @@ let test_report_json () =
       remap = true;
     }
   in
-  let report = Campaign.run ~domains:2 ~key:"mlp" program spec in
-  let doc = Campaign.to_json report in
-  (* The compact rendering must parse back, with one point per grid
-     cell. *)
-  match Json.parse (Json.to_string doc) with
-  | Error e -> Alcotest.failf "report JSON does not parse: %s" e
-  | Ok j ->
-      Alcotest.(check (option string)) "model" (Some "mlp")
-        (Option.bind (Json.member "model" j) Json.to_str);
-      Alcotest.(check (option bool)) "remap flag" (Some true)
-        (match Json.member "remap" j with
-        | Some (Json.Bool b) -> Some b
-        | _ -> None);
-      let points =
-        Option.bind (Json.member "points" j) Json.to_list |> Option.get
-      in
-      Alcotest.(check int) "grid size" 4 (List.length points);
-      List.iter
-        (fun p ->
+  List.iter
+    (fun (nodes, program) ->
+      let program = Lazy.force program in
+      let report = Campaign.run ~domains:2 ~nodes ~key:"mlp" program spec in
+      let doc = Campaign.to_json report in
+      (* The compact rendering must parse back, with one point per grid
+         cell. *)
+      match Json.parse (Json.to_string doc) with
+      | Error e -> Alcotest.failf "report JSON does not parse: %s" e
+      | Ok j ->
+          Alcotest.(check (option string)) "model" (Some "mlp")
+            (Option.bind (Json.member "model" j) Json.to_str);
+          Alcotest.(check (option bool)) "remap flag" (Some true)
+            (match Json.member "remap" j with
+            | Some (Json.Bool b) -> Some b
+            | _ -> None);
+          Alcotest.(check (option int)) "nodes" (Some nodes)
+            (match Json.member "nodes" j with
+            | Some (Json.Int n) -> Some n
+            | _ -> None);
+          Alcotest.(check (option string)) "topology" (Some "mesh")
+            (Option.bind (Json.member "topology" j) Json.to_str);
+          let points =
+            Option.bind (Json.member "points" j) Json.to_list |> Option.get
+          in
+          Alcotest.(check int) "grid size" 4 (List.length points);
           List.iter
-            (fun field ->
-              Alcotest.(check bool)
-                (field ^ " present")
-                true
-                (Json.member field p <> None))
-            [
-              "rate"; "fault_seed"; "total_faults"; "remapped_mvmus";
-              "fault_errors"; "fault_warnings"; "max_err_ulps";
-              "mean_err_ulps"; "flip_rate"; "mean_cycles";
-            ])
-        points;
-      ignore (Puma_util.Table.render (Campaign.table report))
+            (fun p ->
+              List.iter
+                (fun field ->
+                  Alcotest.(check bool)
+                    (field ^ " present")
+                    true
+                    (Json.member field p <> None))
+                [
+                  "rate"; "fault_seed"; "total_faults"; "remapped_mvmus";
+                  "fault_errors"; "fault_warnings"; "max_err_ulps";
+                  "mean_err_ulps"; "flip_rate"; "mean_cycles";
+                ];
+              List.iter
+                (fun field ->
+                  Alcotest.(check (option int))
+                    (field ^ ": one entry per node")
+                    (Some nodes)
+                    (Option.map List.length
+                       (Option.bind (Json.member field p) Json.to_list)))
+                [ "node_faults"; "node_flip_rates" ])
+            points;
+          ignore (Puma_util.Table.render (Campaign.table report)))
+    machines
 
 let () =
   Alcotest.run "fault"
@@ -356,6 +457,7 @@ let () =
             test_zero_fault_differential;
           Alcotest.test_case "domain-count invariant" `Quick
             test_campaign_deterministic_across_domains;
+          Alcotest.test_case "per-node plans" `Quick test_node_plans;
           Alcotest.test_case "faults perturb" `Quick test_faults_perturb_outputs;
           Alcotest.test_case "drift and adc perturb" `Quick
             test_drift_and_adc_perturb;
